@@ -1,12 +1,16 @@
-//! `repro bench`: a small committed benchmark trajectory.
+//! `repro bench`: a small committed benchmark trajectory of exact
+//! numbers.
 //!
-//! Executes each experiment target as its own plan, then the combined
-//! `all` plan, and reports per-target wall-clock, plan sizes, the
-//! cross-experiment dedup reuse ratio (how much of the naive union the
-//! shared plan avoids re-running), and the per-dispatch-strategy
-//! macro-suite instruction counts (with a hard regression gate: every
-//! fast tier must execute fewer host instructions per virtual command
-//! than its naive baseline). The JSON rendering is hand-rolled — the
+//! Plans each experiment target on its own (without executing it),
+//! then executes the combined `all` plan once, and reports per-target
+//! plan sizes, the cross-experiment dedup reuse ratio (how much of the
+//! naive union the shared plan avoids re-running), and the
+//! per-dispatch-strategy macro-suite instruction counts (with a hard
+//! regression gate: every fast tier must execute fewer host
+//! instructions per virtual command than its naive baseline). Nothing
+//! here is a wall-clock sample — timings, with their spread, are
+//! `perfbench`'s job — so the report is byte-identical on every host
+//! and at every job count. The JSON rendering is hand-rolled — the
 //! schema is flat and the repo takes no serialization dependency — and
 //! is what `repro bench` writes to `BENCH_trajectory.json`.
 
@@ -14,17 +18,14 @@ use crate::experiments::{all_requests, requests_for, TARGETS};
 use crate::{dispatch, Scale};
 use interp_core::{DispatchSelection, DispatchStrategy};
 use interp_runplan::{execute_supervised, Plan, SuperviseConfig};
-use std::time::SystemTime;
 
-/// One target's measurement.
+/// One target's plan size.
 #[derive(Debug, Clone)]
 pub struct BenchTarget {
     /// Experiment name (`table1`, `fig3`, ...).
     pub name: &'static str,
     /// Runs in the target's private deduplicated plan.
     pub runs: usize,
-    /// Wall-clock seconds to execute that plan.
-    pub wall_s: f64,
 }
 
 /// One `(interpreter, dispatch strategy)` data point: the macro suite's
@@ -46,20 +47,14 @@ pub struct DispatchBench {
 /// The full trajectory `repro bench` emits.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Milliseconds since the Unix epoch when the sweep started.
-    pub unix_ms: u128,
     /// Workload scale the sweep ran at.
     pub scale: Scale,
-    /// Worker threads per plan execution.
-    pub jobs: usize,
-    /// Per-target measurements, in canonical target order.
+    /// Per-target plan sizes, in canonical target order.
     pub targets: Vec<BenchTarget>,
     /// Requests in the naive union of every target (with duplicates).
     pub combined_requests: usize,
     /// Runs in the shared deduplicated `all` plan.
     pub combined_plan_runs: usize,
-    /// Wall-clock seconds for the combined plan.
-    pub combined_wall_s: f64,
     /// Fraction of the naive union the shared plan never has to run:
     /// `1 - combined_plan_runs / combined_requests`.
     pub dedup_reuse_ratio: f64,
@@ -102,158 +97,17 @@ impl BenchReport {
     }
 }
 
-/// Measure the serve-mode round-trip: warm a throwaway cache with the
-/// `table1` plan, then time submit → response for the same selection
-/// through a live daemon. The wall-clock covers the full client path —
-/// inbox publish, daemon scan, journaled plan (fully reused from the
-/// warm cache), render, outbox publish, wait poll — so the point tracks
-/// service overhead, not workload cost. A failed warm-up or timeout
-/// reports 0.0 rather than failing the sweep.
-fn bench_serve(scale: Scale, jobs: usize, config: &SuperviseConfig) -> BenchTarget {
-    use crate::experiments::ExperimentService;
-    use interp_runplan::serve::{self, ServeConfig, ServeRequest, WaitOutcome};
-    use std::time::{Duration, Instant};
-
-    let dir = std::env::temp_dir().join(format!(
-        "repro-bench-serve-{}-{}",
-        std::process::id(),
-        interp_runplan::fresh_token()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let plan = Plan::build(requests_for("table1", scale));
-    let runs = plan.len();
-    let jconfig = interp_runplan::JournalConfig::new(&dir);
-    let warmed = interp_runplan::execute_journaled(&plan, jobs, config, &jconfig).is_ok();
-    let mut serve_config = ServeConfig::new(&dir);
-    serve_config.jobs = jobs;
-    serve_config.supervise = *config;
-    serve_config.poll = Duration::from_millis(1);
-    serve_config.max_requests = Some(1);
-    let mut wall_s = 0.0;
-    if warmed {
-        let daemon = std::thread::spawn(move || {
-            let _ = serve::serve(&serve_config, &ExperimentService);
-        });
-        let started = Instant::now();
-        let request = ServeRequest::new("bench", &["table1"], scale);
-        if serve::submit(&dir, &request).is_ok() {
-            if let Ok(WaitOutcome::Response(_)) = serve::wait(
-                &dir,
-                "bench",
-                Duration::from_secs(120),
-                Duration::from_millis(1),
-            ) {
-                wall_s = started.elapsed().as_secs_f64();
-            }
-        }
-        let _ = daemon.join();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    BenchTarget { name: "serve", runs, wall_s }
-}
-
-/// Measure a fleet burst: `members` daemons over one warm cache answer
-/// a `burst` of requests submitted back-to-back. Returns the wall-clock
-/// from first submit to last response, or 0.0 on any failure.
-fn fleet_burst(
-    dir: &std::path::Path,
-    scale: Scale,
-    jobs: usize,
-    config: &SuperviseConfig,
-    members: usize,
-    burst: usize,
-) -> f64 {
-    use crate::experiments::ExperimentService;
-    use interp_runplan::serve::{self, ServeConfig, ServeRequest, WaitOutcome};
-    use std::time::{Duration, Instant};
-
-    let mut daemons = Vec::with_capacity(members);
-    for _ in 0..members {
-        let mut serve_config = ServeConfig::new(dir);
-        serve_config.jobs = jobs;
-        serve_config.supervise = *config;
-        serve_config.poll = Duration::from_millis(1);
-        serve_config.serve_jobs = 2;
-        daemons.push(std::thread::spawn(move || {
-            let _ = serve::serve(&serve_config, &ExperimentService);
-        }));
-    }
-    let started = Instant::now();
-    let ids: Vec<String> = (0..burst)
-        .map(|i| format!("fleet{members}-req{i}"))
-        .collect();
-    let mut submitted = true;
-    for id in &ids {
-        let request = ServeRequest::new(id.clone(), &["table1"], scale);
-        submitted &= serve::submit(dir, &request).is_ok();
-    }
-    let mut answered = submitted;
-    for id in &ids {
-        answered &= matches!(
-            serve::wait(dir, id, Duration::from_secs(120), Duration::from_millis(1)),
-            Ok(WaitOutcome::Response(_))
-        );
-    }
-    let wall_s = if answered { started.elapsed().as_secs_f64() } else { 0.0 };
-    let _ = serve::request_stop(dir);
-    for daemon in daemons {
-        let _ = daemon.join();
-    }
-    wall_s
-}
-
-/// Measure fleet scaling: the same burst through one daemon and through
-/// two, over one shared warm cache (so both points track coordination
-/// overhead — claims, adoption sweeps, outbox publishes — not workload
-/// cost). A failed warm-up reports 0.0 for both.
-fn bench_fleet(scale: Scale, jobs: usize, config: &SuperviseConfig) -> Vec<BenchTarget> {
-    let dir = std::env::temp_dir().join(format!(
-        "repro-bench-fleet-{}-{}",
-        std::process::id(),
-        interp_runplan::fresh_token()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let plan = Plan::build(requests_for("table1", scale));
-    let jconfig = interp_runplan::JournalConfig::new(&dir);
-    let warmed = interp_runplan::execute_journaled(&plan, jobs, config, &jconfig).is_ok();
-    const BURST: usize = 4;
-    let mut points = Vec::with_capacity(2);
-    for members in [1usize, 2] {
-        let wall_s = if warmed {
-            fleet_burst(&dir, scale, jobs, config, members, BURST)
-        } else {
-            0.0
-        };
-        points.push(BenchTarget {
-            name: if members == 1 { "fleet1" } else { "fleet2" },
-            runs: BURST,
-            wall_s,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    points
-}
-
-/// Execute the benchmark sweep: each target alone, the serve-mode
-/// round-trip, the fleet burst pair, then the shared plan.
+/// Build the benchmark report: every target's plan size (planned, not
+/// executed), then the shared plan, executed once for the dispatch
+/// section.
 pub fn run_bench(scale: Scale, jobs: usize, config: &SuperviseConfig) -> BenchReport {
-    let unix_ms = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    let mut targets = Vec::with_capacity(TARGETS.len());
-    for (name, _) in TARGETS {
-        let plan = Plan::build(requests_for(name, scale));
-        let runs = plan.len();
-        let executed = execute_supervised(&plan, jobs, config);
-        targets.push(BenchTarget {
+    let targets = TARGETS
+        .iter()
+        .map(|&(name, _)| BenchTarget {
             name,
-            runs,
-            wall_s: executed.wall.as_secs_f64(),
-        });
-    }
-    targets.push(bench_serve(scale, jobs, config));
-    targets.extend(bench_fleet(scale, jobs, config));
+            runs: Plan::build(requests_for(name, scale)).len(),
+        })
+        .collect();
     let union = all_requests(scale);
     let combined_requests = union.len();
     let plan = Plan::build(union);
@@ -278,13 +132,10 @@ pub fn run_bench(scale: Scale, jobs: usize, config: &SuperviseConfig) -> BenchRe
         })
         .collect();
     BenchReport {
-        unix_ms,
         scale,
-        jobs,
         targets,
         combined_requests,
         combined_plan_runs,
-        combined_wall_s: executed.wall.as_secs_f64(),
         dedup_reuse_ratio,
         dispatch,
     }
@@ -299,17 +150,14 @@ fn r3(x: f64) -> f64 {
 pub fn render_json(report: &BenchReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"bench-trajectory/5\",\n");
-    out.push_str(&format!("  \"unix_ms\": {},\n", report.unix_ms));
+    out.push_str("  \"schema\": \"bench-trajectory/6\",\n");
     out.push_str(&format!("  \"scale\": \"{}\",\n", report.scale.label()));
-    out.push_str(&format!("  \"jobs\": {},\n", report.jobs));
     out.push_str("  \"targets\": [\n");
     for (i, t) in report.targets.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"runs\": {}, \"wall_s\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"runs\": {}}}{}\n",
             t.name,
             t.runs,
-            r3(t.wall_s),
             if i + 1 == report.targets.len() { "" } else { "," }
         ));
     }
@@ -321,10 +169,6 @@ pub fn render_json(report: &BenchReport) -> String {
     out.push_str(&format!(
         "  \"combined_plan_runs\": {},\n",
         report.combined_plan_runs
-    ));
-    out.push_str(&format!(
-        "  \"combined_wall_s\": {},\n",
-        r3(report.combined_wall_s)
     ));
     out.push_str(&format!(
         "  \"dedup_reuse_ratio\": {},\n",
@@ -351,20 +195,14 @@ pub fn render_json(report: &BenchReport) -> String {
 pub fn render_summary(report: &BenchReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench ({} scale, {} job(s)):",
-        report.scale.label(),
-        report.jobs
-    );
+    let _ = writeln!(out, "bench ({} scale):", report.scale.label());
     for t in &report.targets {
-        let _ = writeln!(out, "  {:<10} {:>3} run(s)  {:>8.3}s", t.name, t.runs, t.wall_s);
+        let _ = writeln!(out, "  {:<10} {:>3} run(s)", t.name, t.runs);
     }
     let _ = writeln!(
         out,
-        "  combined   {:>3} run(s)  {:>8.3}s  ({} requested, {:.0}% deduped away)",
+        "  combined   {:>3} run(s)  ({} requested, {:.0}% deduped away)",
         report.combined_plan_runs,
-        report.combined_wall_s,
         report.combined_requests,
         report.dedup_reuse_ratio * 100.0
     );
@@ -395,16 +233,13 @@ mod tests {
 
     fn tiny_report() -> BenchReport {
         BenchReport {
-            unix_ms: 1_700_000_000_000,
             scale: Scale::Test,
-            jobs: 2,
             targets: vec![
-                BenchTarget { name: "table1", runs: 10, wall_s: 0.1234 },
-                BenchTarget { name: "table2", runs: 20, wall_s: 0.5 },
+                BenchTarget { name: "table1", runs: 10 },
+                BenchTarget { name: "table2", runs: 20 },
             ],
             combined_requests: 30,
             combined_plan_runs: 24,
-            combined_wall_s: 0.6,
             dedup_reuse_ratio: 0.2,
             dispatch: vec![
                 DispatchBench {
@@ -430,9 +265,10 @@ mod tests {
         let text = render_json(&tiny_report());
         assert!(text.starts_with("{\n"));
         assert!(text.ends_with("}\n"));
-        assert!(text.contains("\"schema\": \"bench-trajectory/5\""), "{text}");
+        assert!(text.contains("\"schema\": \"bench-trajectory/6\""), "{text}");
         assert!(text.contains("\"scale\": \"test\""), "{text}");
-        assert!(text.contains("\"name\": \"table1\", \"runs\": 10, \"wall_s\": 0.123"), "{text}");
+        assert!(text.contains("\"name\": \"table1\", \"runs\": 10}"), "{text}");
+        assert!(!text.contains("wall_s"), "no wall-clock samples: {text}");
         assert!(text.contains("\"combined_plan_runs\": 24"), "{text}");
         assert!(text.contains("\"dedup_reuse_ratio\": 0.2,"), "{text}");
         assert!(
@@ -442,7 +278,7 @@ mod tests {
             "{text}"
         );
         // No trailing comma before the array close.
-        assert!(text.contains("\"wall_s\": 0.5}\n  ],"), "{text}");
+        assert!(text.contains("\"runs\": 20}\n  ],"), "{text}");
         // Balanced braces and brackets.
         assert_eq!(
             text.matches('{').count(),
@@ -459,7 +295,7 @@ mod tests {
     #[test]
     fn summary_reports_dedup_ratio() {
         let text = render_summary(&tiny_report());
-        assert!(text.contains("bench (test scale, 2 job(s))"), "{text}");
+        assert!(text.contains("bench (test scale)"), "{text}");
         assert!(text.contains("20% deduped away"), "{text}");
         assert!(text.contains("dispatch tiers ok"), "{text}");
     }
@@ -479,27 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_measures_every_target_plus_combined() {
+    fn bench_sizes_every_target_plus_combined() {
         let report = run_bench(Scale::Test, 2, &SuperviseConfig::new());
-        // Every registry target plus the serve-mode round-trip point
-        // and the two fleet-burst points.
-        assert_eq!(report.targets.len(), TARGETS.len() + 3);
-        let serve = report
-            .targets
-            .iter()
-            .find(|t| t.name == "serve")
-            .expect("serve point");
-        assert!(serve.runs > 0, "serve point must plan table1's runs");
-        assert!(serve.wall_s > 0.0, "serve round-trip must be measured");
-        for name in ["fleet1", "fleet2"] {
-            let point = report
-                .targets
-                .iter()
-                .find(|t| t.name == name)
-                .expect("fleet point");
-            assert_eq!(point.runs, 4, "{name} must report its burst size");
-            assert!(point.wall_s > 0.0, "{name} burst must be measured");
-        }
+        assert_eq!(report.targets.len(), TARGETS.len());
         // table3 needs no runs; every other target needs at least one.
         assert!(report.targets.iter().any(|t| t.runs == 0));
         assert!(report.targets.iter().filter(|t| t.runs > 0).count() >= 7);

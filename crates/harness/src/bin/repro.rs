@@ -14,7 +14,7 @@
 //! repro journal-chaos [--seeds N] [--jobs N] [--cache-dir DIR]
 //! repro conform [--seeds N] [--dispatch LIST]
 //! repro serve [--cache-dir DIR] [--queue N] [--poll-ms N] [--max-requests N]
-//!       [--serve-jobs N] [--exclusive] [--stop]
+//!       [--serve-jobs N] [--stop]
 //! repro submit [TARGETS] [--scale test|paper] [--dispatch LIST] [--id NAME]
 //!       [--priority N] [--deadline-ms N] [--cache-dir DIR]
 //! repro wait ID [--cache-dir DIR] [--wait-timeout SECS] [--poll-ms N]
@@ -79,9 +79,9 @@
 //! defects, lock holder, writer sessions, claims, reuse coverage);
 //! `compact` rewrites the journal dropping duplicate, stale-epoch, and
 //! torn records (a no-op when already canonical); `bench` writes a
-//! machine-readable benchmark trajectory (per-target wall-clock, plan
-//! sizes, dedup reuse ratio) to `--out FILE` (default
-//! `BENCH_trajectory.json`).
+//! machine-readable benchmark trajectory of exact numbers (per-target
+//! plan sizes, dedup reuse ratio, per-dispatch-tier instruction counts)
+//! to `--out FILE` (default `BENCH_trajectory.json`).
 //!
 //! Service mode: `serve` runs a long-lived daemon over the cache — it
 //! watches `<cache>/serve/inbox/` for request files dropped by `submit`,
@@ -95,9 +95,8 @@
 //! a member lease under `serve/fleet/`, claims inbox requests by atomic
 //! rename (no request is ever executed twice), and live members adopt
 //! the claimed-but-unanswered work of any member that died — kill -9
-//! loses nothing. `--exclusive` refuses to start while another live
-//! member is serving (exit 6). `submit --priority N` orders admission
-//! (higher first); `submit --deadline-ms N` bounds patience — a request
+//! loses nothing. `submit --priority N` orders admission (higher
+//! first); `submit --deadline-ms N` bounds patience — a request
 //! still unexecuted when its deadline passes is answered with a typed
 //! `deadline-expired` rejection instead of stale work. Malformed or
 //! unknown-target requests get typed rejections, never a daemon crash.
@@ -108,9 +107,9 @@
 //!
 //! Exit status: 0 success (or degraded-but-complete), 1 sweep failure,
 //! 2 usage error, 3 degraded under `--strict`, 4 journal I/O error,
-//! 5 lock timeout, 6 a live daemon blocks this one (stale legacy lease,
-//! or `--exclusive` while a fleet member is live), 7 wait timeout,
-//! 86 deliberate `--crash-after` crash.
+//! 5 lock timeout, 7 wait timeout, 86 deliberate `--crash-after` crash.
+//! (6 is retired: it meant a live daemon blocked this one, and no
+//! daemon does any more.)
 //!
 //! `journal-chaos` proves the recovery machinery per seed: corruption
 //! lanes damage a pristine journal and assert every defect is detected,
@@ -134,7 +133,7 @@ use interp_runplan::chaos::{journal_chaos_baseline, journal_chaos_plan, journal_
 use interp_runplan::serve;
 use interp_runplan::{
     cache_status, chaos_execute, compact_with, current_epoch, default_jobs, execute_journaled,
-    execute_supervised, render_cache_status, render_chaos_summary, render_failures,
+    execute_supervised, fleet_members, render_cache_status, render_chaos_summary, render_failures,
     render_resume_report, render_timings, with_quiet_injected_panics, JournalConfig,
     JournalError, JournalErrorKind, Plan, ResolveError, SuperviseConfig, DEFAULT_CACHE_DIR,
     DEFAULT_LOCK_TIMEOUT,
@@ -160,7 +159,7 @@ fn usage() -> String {
          \x20      repro journal-chaos [--seeds N] [--jobs N] [--cache-dir DIR]\n\
          \x20      repro conform [--seeds N] [--dispatch LIST]\n\
          \x20      repro serve [--cache-dir DIR] [--queue N] [--poll-ms N] [--max-requests N]\n\
-         \x20            [--serve-jobs N] [--exclusive] [--stop]\n\
+         \x20            [--serve-jobs N] [--stop]\n\
          \x20      repro submit [TARGETS] [--scale test|paper] [--dispatch LIST] [--id NAME]\n\
          \x20            [--priority N] [--deadline-ms N] [--cache-dir DIR]\n\
          \x20      repro wait ID [--cache-dir DIR] [--wait-timeout SECS] [--poll-ms N]\n\
@@ -174,14 +173,13 @@ fn usage() -> String {
          \x20            concurrent processes sharing a cache dir coordinate through an advisory\n\
          \x20            lock for exactly-once execution (--lock-timeout SECS bounds the wait)\n\
          service: `serve` daemonizes over the cache inbox/outbox (run it N times for a\n\
-         \x20            failover fleet; --serve-jobs N executes admitted requests concurrently;\n\
-         \x20            --exclusive refuses to join a live fleet); `submit` drops a request\n\
-         \x20            file (id on stdout; --priority orders admission, --deadline-ms bounds\n\
-         \x20            patience); `wait ID` blocks for its response and replays the body\n\
+         \x20            failover fleet; --serve-jobs N executes admitted requests\n\
+         \x20            concurrently); `submit` drops a request file (id on stdout;\n\
+         \x20            --priority orders admission, --deadline-ms bounds patience);\n\
+         \x20            `wait ID` blocks for its response and replays the body\n\
          \x20            (byte-identical to the batch CLI) on stdout\n\
          exit status: 0 ok, 1 sweep failure, 2 usage, 3 degraded under --strict,\n\
-         \x20            4 journal I/O error, 5 lock timeout, 6 live daemon blocks this one,\n\
-         \x20            7 wait timeout, 86 --crash-after",
+         \x20            4 journal I/O error, 5 lock timeout, 7 wait timeout, 86 --crash-after",
         names.join(" | ")
     )
 }
@@ -243,9 +241,6 @@ struct Cli {
     /// `repro serve --serve-jobs N`: admitted requests executed
     /// concurrently per scan (default 1, the sequential daemon).
     serve_jobs: Option<usize>,
-    /// `repro serve --exclusive`: refuse to start while another live
-    /// fleet member is already serving this cache (exit status 6).
-    exclusive: bool,
     /// `repro serve --stop`: ask the running daemon to drain and exit.
     stop: bool,
     /// `repro submit --id NAME`: explicit request id.
@@ -304,7 +299,6 @@ fn parse(args: &[String]) -> Cli {
     let mut poll_ms: Option<u64> = None;
     let mut max_requests: Option<u64> = None;
     let mut serve_jobs: Option<usize> = None;
-    let mut exclusive = false;
     let mut stop = false;
     let mut id: Option<String> = None;
     let mut priority: Option<i64> = None;
@@ -417,8 +411,6 @@ fn parse(args: &[String]) -> Cli {
                 Ok(n) if n > 0 => serve_jobs = Some(n),
                 _ => bail(&format!("--serve-jobs expects a positive integer, got `{v}`")),
             }
-        } else if arg == "--exclusive" {
-            exclusive = true;
         } else if arg == "--priority" || arg.starts_with("--priority=") {
             let v = take_value("--priority");
             match v.parse::<i64>() {
@@ -494,7 +486,6 @@ fn parse(args: &[String]) -> Cli {
         poll_ms,
         max_requests,
         serve_jobs,
-        exclusive,
         stop,
         id,
         priority,
@@ -513,7 +504,7 @@ fn print_list(scale: Scale) {
     println!("  all        every target above, one shared deduplicated plan");
     println!("  status     read-only cache snapshot: records, defects, lock, writers");
     println!("  compact    rewrite the journal dropping duplicate/stale/torn records");
-    println!("  bench      benchmark trajectory (per-target wall, dedup ratio) to JSON");
+    println!("  bench      benchmark trajectory (plan sizes, dedup ratio, dispatch tiers) to JSON");
     println!("  guard      seeded fault-injection sweep (not memoized)");
     println!("  chaos      full plan under seeded guest+pool fault injection");
     println!("  journal-chaos  seeded journal corruption, multi-writer races, tiered guard trips: healed");
@@ -626,10 +617,10 @@ fn run_compact(cli: &Cli) -> ! {
     }
 }
 
-/// `repro bench`: execute each target's plan alone and the combined
-/// plan, then write the machine-readable trajectory JSON (per-target
-/// wall-clock, plan sizes, dedup reuse ratio, per-dispatch-strategy
-/// instruction counts) to `--out`. A dispatch tier that fails to beat
+/// `repro bench`: size each target's plan and execute the combined plan
+/// once, then write the machine-readable trajectory JSON (per-target
+/// plan sizes, dedup reuse ratio, per-dispatch-strategy instruction
+/// counts) to `--out`. A dispatch tier that fails to beat
 /// its naive insns/cmd baseline is a regression: exit status 1.
 fn run_bench(cli: &Cli) -> ! {
     let report = bench_report::run_bench(cli.scale, cli.jobs, &cli.supervise_config());
@@ -742,9 +733,7 @@ fn run_journal_chaos(cli: &Cli) -> ! {
 /// concurrent batch invocations and fleet peers), and publish responses
 /// to the outbox. Run it again on the same cache to grow a failover
 /// fleet; dead members' claimed work is re-adopted by survivors.
-/// `--stop` instead asks the whole fleet to drain and exit. Exit status
-/// 6 when a live legacy lease blocks the cache, or under `--exclusive`
-/// when another live member is already serving.
+/// `--stop` instead asks the whole fleet to drain and exit.
 fn run_serve(cli: &Cli) -> ! {
     let dir = cli.cache_dir_or_default();
     if cli.stop {
@@ -753,9 +742,9 @@ fn run_serve(cli: &Cli) -> ! {
         }
         let deadline = std::time::Instant::now() + cli.lock_timeout_or_default();
         loop {
-            let status = serve::serve_status(&dir);
-            if !status.daemon_live {
-                if status.daemon_pid.is_none() {
+            let members = fleet_members(&dir);
+            let Some(live) = members.iter().find(|m| m.pid_live) else {
+                if members.is_empty() {
                     // Nothing to stop: withdraw the marker so it cannot
                     // kill the next daemon at startup.
                     if let Err(e) = serve::withdraw_stop(&dir) {
@@ -766,11 +755,11 @@ fn run_serve(cli: &Cli) -> ! {
                 }
                 println!("serve: stopped");
                 std::process::exit(0);
-            }
+            };
             if std::time::Instant::now() >= deadline {
                 eprintln!(
                     "repro: serve daemon (pid {}) did not drain within the lock timeout",
-                    status.daemon_pid.unwrap_or(0)
+                    live.pid
                 );
                 std::process::exit(1);
             }
@@ -783,7 +772,6 @@ fn run_serve(cli: &Cli) -> ! {
     config.lock_timeout = cli.lock_timeout_or_default();
     config.max_requests = cli.max_requests;
     config.crash_after = cli.crash_after;
-    config.exclusive = cli.exclusive;
     // Only an explicit --retries overrides ServeConfig's own default
     // degraded-request re-drive budget.
     if let Some(n) = cli.retries {
@@ -803,14 +791,7 @@ fn run_serve(cli: &Cli) -> ! {
             eprintln!("{}", report.render());
             std::process::exit(0);
         }
-        Err(serve::ServeError::AlreadyRunning { pid }) => {
-            eprintln!(
-                "repro: serve daemon already running (pid {pid}) in {}",
-                dir.display()
-            );
-            std::process::exit(6);
-        }
-        Err(serve::ServeError::Journal(e)) => journal_exit(&e),
+        Err(e) => journal_exit(&e),
     }
 }
 

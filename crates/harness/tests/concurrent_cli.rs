@@ -146,11 +146,9 @@ fn bench_emits_trajectory_json() {
 
     let json = std::fs::read_to_string(&out_path).expect("trajectory file");
     for needle in [
-        "\"schema\": \"bench-trajectory/5\"",
+        "\"schema\": \"bench-trajectory/6\"",
         "\"targets\": [",
         "\"name\": \"table1\"",
-        "\"name\": \"serve\"",
-        "\"name\": \"fleet2\"",
         "\"combined_plan_runs\":",
         "\"dedup_reuse_ratio\":",
     ] {

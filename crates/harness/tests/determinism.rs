@@ -6,8 +6,9 @@
 
 use interp_core::{Language, RunRequest, WorkloadId};
 use interp_harness::{ablations, arch, figures, memmodel, table1, table2, tiered, Scale};
+use interp_guard::Limits;
 use interp_runplan::{
-    execute, render_failures, run_request, supervise_with, with_quiet_injected_panics, Plan,
+    execute, render_failures, supervise_with, try_run_request, with_quiet_injected_panics, Plan,
     SuperviseConfig,
 };
 
@@ -98,7 +99,7 @@ fn degraded_repro_all_report_is_complete_and_byte_identical() {
         if *request == poison {
             panic!("chaos: deliberate test panic in the shared plan");
         }
-        Ok(run_request(request))
+        Ok(try_run_request(request, Limits::unlimited()).expect("planned run"))
     };
     let render = |jobs: usize| {
         let executed = with_quiet_injected_panics(|| supervise_with(&plan, jobs, &config, run));

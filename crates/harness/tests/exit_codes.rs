@@ -1,12 +1,10 @@
 //! Every documented `repro` exit code, driven through the real binary:
 //! 0 success, 1 rejected request, 2 usage, 3 strict-degraded, 4 journal
-//! I/O, 5 lock timeout, 6 live daemon blocks an `--exclusive` start,
-//! 7 wait timeout, 86 crash harness — and the README must document
-//! each one.
+//! I/O, 5 lock timeout, 7 wait timeout, 86 crash harness — and the
+//! README must document each one. (6 is retired.)
 
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Output};
 
 fn repro_bin() -> &'static str {
     env!("CARGO_BIN_EXE_repro")
@@ -68,6 +66,8 @@ fn exit_2_fleet_flag_misuse() {
     assert_eq!(code(&repro(&["submit", "table3", "--deadline-ms", "0"])), 2);
     assert_eq!(code(&repro(&["submit", "table3", "--deadline-ms", "-5"])), 2);
     assert_eq!(code(&repro(&["compact", "--keep-responses", "soon"])), 2);
+    // Every daemon joins the fleet; there is no single-daemon flag.
+    assert_eq!(code(&repro(&["serve", "--exclusive"])), 2);
 }
 
 #[test]
@@ -105,35 +105,6 @@ fn exit_5_lock_timeout() {
 }
 
 #[test]
-fn exit_6_second_daemon() {
-    let dir = fresh_dir("six");
-    let dir_s = dir.to_string_lossy().to_string();
-    let daemon = Command::new(repro_bin())
-        .args(["serve", "--cache-dir", &dir_s, "--poll-ms", "5"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn daemon");
-    // Heartbeat implies the lease is held AND stale-stop cleanup is done
-    // (so the --stop below cannot be swallowed as stale).
-    let heartbeat = dir.join("serve/heartbeat");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !heartbeat.exists() {
-        assert!(Instant::now() < deadline, "daemon never heartbeat");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // Joining the fleet is the default now; --exclusive restores the
-    // one-daemon-per-cache refusal this exit code documents.
-    let second = repro(&["serve", "--cache-dir", &dir_s, "--exclusive"]);
-    assert_eq!(code(&second), 6, "{}", String::from_utf8_lossy(&second.stderr));
-    let stop = repro(&["serve", "--stop", "--cache-dir", &dir_s, "--poll-ms", "5"]);
-    assert_eq!(code(&stop), 0);
-    let done = daemon.wait_with_output().expect("daemon exit");
-    assert!(done.status.success());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn exit_7_wait_timeout() {
     let dir = fresh_dir("seven");
     let out = repro(&[
@@ -160,7 +131,7 @@ fn readme_documents_every_exit_code() {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../README.md"),
     )
     .expect("README.md");
-    for exit_code in [0, 1, 2, 3, 4, 5, 6, 7, 86] {
+    for exit_code in [0, 1, 2, 3, 4, 5, 7, 86] {
         assert!(
             readme.contains(&format!("| {exit_code} |")),
             "README exit-status table lacks a row for {exit_code}"

@@ -2,9 +2,9 @@
 //! serving inbox requests must produce responses byte-identical to the
 //! batch CLI, reject malformed/unknown/overflow/expired requests with
 //! typed answers instead of crashing, survive a deliberate mid-request
-//! crash and a SIGKILL with exactly-once resumption, still parse
-//! version-1 request files, refuse a second `--exclusive` daemon, and
-//! drain cleanly on a stop request.
+//! crash and a SIGKILL with exactly-once resumption, answer retired
+//! version-1 request files with a typed rejection, and drain cleanly on
+//! a stop request.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -330,11 +330,10 @@ fn sigkilled_daemon_restart_recovers() {
     let _ = std::fs::remove_dir_all(&shared);
 }
 
-/// `--exclusive` preserves the one-daemon-per-cache contract: a second
-/// `repro serve --exclusive` exits 6 while a fleet member is live;
-/// `repro status` shows the fleet table; `repro serve --stop` drains.
+/// `repro status` shows a running daemon as a one-member fleet, and
+/// `repro serve --stop` drains it.
 #[test]
-fn second_daemon_refused_and_stop_drains() {
+fn status_shows_the_fleet_and_stop_drains() {
     let dir = fresh_dir("stop");
     let dir_s = dir.to_string_lossy().to_string();
     let daemon = Command::new(repro_bin())
@@ -347,19 +346,6 @@ fn second_daemon_refused_and_stop_drains() {
     // heartbeat proves startup is done, so the --stop below cannot be
     // swallowed as stale.
     wait_for(&dir.join("serve/heartbeat"), "daemon heartbeat");
-
-    let second = repro(&["serve", "--cache-dir", &dir_s, "--exclusive"]);
-    assert_eq!(
-        second.status.code(),
-        Some(6),
-        "exclusive second daemon must exit 6: {}",
-        String::from_utf8_lossy(&second.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&second.stderr).contains("already running"),
-        "{}",
-        String::from_utf8_lossy(&second.stderr)
-    );
 
     let status = repro(&["status", "--cache-dir", &dir_s]);
     assert!(status.status.success());
@@ -385,10 +371,10 @@ fn second_daemon_refused_and_stop_drains() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A version-1 request file planted by an old client is still parsed
-/// and served — the protocol bump is backward compatible on the wire.
+/// A version-1 request file planted by an old client is answered with a
+/// typed `bad-version` rejection, never served and never a crash.
 #[test]
-fn version_1_request_files_are_still_served() {
+fn version_1_request_files_are_rejected_as_bad_version() {
     let dir = fresh_dir("v1");
     let dir_s = dir.to_string_lossy().to_string();
     std::fs::create_dir_all(dir.join("serve/inbox")).expect("mkdir inbox");
@@ -405,11 +391,9 @@ fn version_1_request_files_are_still_served() {
         String::from_utf8_lossy(&daemon.stderr)
     );
     let w = repro(&["wait", "old", "--cache-dir", &dir_s, "--poll-ms", "5"]);
-    assert!(
-        w.status.success(),
-        "v1 request must be answered ok: {}",
-        String::from_utf8_lossy(&w.stderr)
-    );
+    assert_eq!(w.status.code(), Some(1), "a rejection exits 1");
+    let stderr = String::from_utf8_lossy(&w.stderr);
+    assert!(stderr.contains("rejected (bad-version"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -17,6 +17,7 @@ use crate::lock::{Claims, Sessions, LOCK_FILE};
 use crate::plan::Plan;
 use crate::pool::{self, supervise_with, ExecutedPlan};
 use crate::supervise::{FailureKind, RunFailure, SuperviseConfig};
+use interp_core::serial::fnv1a;
 use interp_core::{
     DispatchFault, DispatchStrategy, Language, NullSink, RunArtifact, RunRequest, RunStats,
     Scale, WorkloadId, WorkloadKind,
@@ -66,7 +67,7 @@ pub enum ChaosLane {
 /// macro workloads; micro requests roll those lanes onto pool-level
 /// injections instead, so every request kind can degrade.
 pub fn lane(seed: u64, request: &RunRequest) -> ChaosLane {
-    let mut rng = Rng64::new(seed ^ CHAOS_STREAM ^ fnv1a(&request.to_string()));
+    let mut rng = Rng64::new(seed ^ CHAOS_STREAM ^ fnv1a(request.to_string().as_bytes()));
     let micro = request.workload.kind == WorkloadKind::Micro;
     match rng.range(0, 16) {
         0 if micro => ChaosLane::WorkerStall,
@@ -166,7 +167,7 @@ fn guest_fault(
 /// lanes for binary guests, truncation/garbage lanes for textual ones,
 /// decorrelated per request.
 fn guest_plan(seed: u64, request: &RunRequest) -> FaultPlan {
-    let derived = seed ^ fnv1a(&request.to_string());
+    let derived = seed ^ fnv1a(request.to_string().as_bytes());
     match request.workload.language {
         Language::C | Language::Mipsi | Language::Javelin => FaultPlan::image_sweep(derived),
         Language::Perlite | Language::Tclite => FaultPlan::source_sweep(derived),
@@ -270,9 +271,9 @@ pub enum JournalChaosLane {
     /// response — never a daemon crash.
     TornServeRequest,
     /// Serve lane: a daemon died between claiming a request and
-    /// committing its response (journal truncated to a prefix, dead pid
-    /// lease, claimed request orphaned in `work/`). Expect the next
-    /// daemon to steal the lease, recover the orphan, reuse the prefix,
+    /// committing its response (journal truncated to a prefix, a dead
+    /// fleet member with the claimed request orphaned in its work dir).
+    /// Expect the next daemon to adopt the orphan, reuse the prefix,
     /// and respond byte-identically to a cold run.
     ServeCrashRecovery,
     /// Serve lane: N concurrent clients race one daemon while a batch
@@ -511,39 +512,57 @@ pub fn journal_chaos_plan() -> Plan {
     ])
 }
 
-/// One journal-chaos verdict: what was injected, what the loader saw,
-/// and whether recovery restored the exact cold-run results.
-#[derive(Debug, Clone)]
-pub struct JournalChaosOutcome {
+/// One journal-chaos round's verdict. Every lane — corruption,
+/// multi-writer, serve, tiered — grades itself as a list of named
+/// checks and reports through this one shape and [`ChaosVerdict::render`];
+/// `context` says what the lane injected and what it observed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChaosVerdict {
     /// The chaos seed.
     pub seed: u64,
-    /// What [`corrupt_journal`] injected and predicted.
-    pub corruption: JournalCorruption,
-    /// The loader reported at least one defect of the expected kind.
-    pub detected: bool,
-    /// No defect of any *other* kind was reported (classification, not
-    /// just detection).
-    pub classified: bool,
-    /// Runs the resumed execution actually re-executed.
-    pub requeued: usize,
-    /// Every planned artifact in the resumed store is content-identical
-    /// to the cold baseline.
-    pub store_intact: bool,
-    /// The post-resume journal file parses with zero defects and holds
-    /// every planned record.
-    pub journal_healed: bool,
+    /// Which lane ran.
+    pub lane: JournalChaosLane,
+    /// What was injected, what the oracle expects, and the observed
+    /// counts behind the checks.
+    pub context: String,
+    /// The lane's graded checks, in report order.
+    pub checks: Vec<(&'static str, bool)>,
 }
 
-impl JournalChaosOutcome {
-    /// True iff the defect was detected, correctly classified, the
-    /// requeue count matched the oracle, and both the store and the
-    /// journal recovered fully.
+impl ChaosVerdict {
+    /// True iff the lane graded at least one check and every check held.
     pub fn passed(&self) -> bool {
-        self.detected
-            && self.classified
-            && self.requeued == self.corruption.expected_requeued
-            && self.store_intact
-            && self.journal_healed
+        !self.checks.is_empty() && self.checks.iter().all(|&(_, held)| held)
+    }
+
+    /// One line per round, stable across job counts: the seed, the
+    /// lane, the context, every check, and the verdict.
+    pub fn render(&self) -> String {
+        let checks: Vec<String> = self
+            .checks
+            .iter()
+            .map(|(name, held)| format!("{name}={held}"))
+            .collect();
+        format!(
+            "journal-chaos seed {}: lane {} -> {}: {} [{}]",
+            self.seed,
+            self.lane.label(),
+            self.context,
+            checks.join(" "),
+            if self.passed() { "ok" } else { "FAIL" },
+        )
+    }
+
+    /// The verdict for a scenario that could not even run (a thread
+    /// panicked, or an impossible lane reached its harness) — it
+    /// renders as FAIL rather than crashing the sweep.
+    fn did_not_run(seed: u64, lane: JournalChaosLane) -> ChaosVerdict {
+        ChaosVerdict {
+            seed,
+            lane,
+            context: "scenario did not run".to_string(),
+            checks: vec![("completed", false)],
+        }
     }
 }
 
@@ -569,87 +588,14 @@ pub fn journal_chaos_baseline(
     Ok((bytes, baseline))
 }
 
-/// One multi-writer chaos verdict: what the coordination scenario was
-/// asked to survive and what actually happened.
-#[derive(Debug, Clone)]
-pub struct MultiWriterOutcome {
-    /// The chaos seed.
-    pub seed: u64,
-    /// Which multi-writer lane ran.
-    pub lane: JournalChaosLane,
-    /// Concurrent campaigns launched (1 for the takeover lane, where
-    /// the "other writer" is a planted corpse).
-    pub writers: usize,
-    /// Requests in the plan — the exactly-once denominator.
-    pub planned: usize,
-    /// Executions summed across every campaign. Exactly-once means this
-    /// equals `planned`: no request ran twice, none was skipped.
-    pub executed_total: usize,
-    /// Every campaign's store resolved every planned artifact to the
-    /// cold-baseline content.
-    pub store_intact: bool,
-    /// The final journal holds a record for every planned request.
-    pub journal_complete: bool,
-    /// The final journal parses with zero defects.
-    pub journal_clean: bool,
-}
-
-impl MultiWriterOutcome {
-    /// True iff execution was exactly-once and nothing was lost or
-    /// corrupted.
-    pub fn passed(&self) -> bool {
-        self.executed_total == self.planned
-            && self.store_intact
-            && self.journal_complete
-            && self.journal_clean
-    }
-}
-
-/// The verdict of one journal-chaos round — corruption lanes grade
-/// detect/classify/heal, multi-writer lanes grade exactly-once
-/// coordination, serve lanes grade daemon robustness, and the tiered
-/// lane grades the trace engine's guard-trip fallback.
-#[derive(Debug, Clone)]
-pub enum JournalChaosVerdict {
-    /// A byte-corruption lane's verdict.
-    Corruption(JournalChaosOutcome),
-    /// A multi-writer coordination lane's verdict.
-    MultiWriter(MultiWriterOutcome),
-    /// A serve-daemon robustness lane's verdict.
-    Serve(ServeChaosOutcome),
-    /// The tiered guard-trip lane's verdict.
-    Tiered(TieredChaosOutcome),
-}
-
-impl JournalChaosVerdict {
-    /// Whether the round met its lane's oracle.
-    pub fn passed(&self) -> bool {
-        match self {
-            JournalChaosVerdict::Corruption(o) => o.passed(),
-            JournalChaosVerdict::MultiWriter(o) => o.passed(),
-            JournalChaosVerdict::Serve(o) => o.passed(),
-            JournalChaosVerdict::Tiered(o) => o.passed(),
-        }
-    }
-
-    /// The one-line report for this round.
-    pub fn render(&self) -> String {
-        match self {
-            JournalChaosVerdict::Corruption(o) => render_journal_chaos(o),
-            JournalChaosVerdict::MultiWriter(o) => render_multi_writer(o),
-            JournalChaosVerdict::Serve(o) => render_serve_chaos(o),
-            JournalChaosVerdict::Tiered(o) => render_tiered_chaos(o),
-        }
-    }
-}
-
 /// One journal-chaos round. Corruption lanes plant a `seed`-corrupted
 /// copy of the pristine image in `dir`, resume the plan from it, and
 /// grade detection, classification, requeue accounting, store fidelity,
 /// and healing. Multi-writer lanes instead clear the cache and run a
 /// coordination scenario — interleaved campaigns, stale-lock takeover,
 /// or compaction racing an appender — grading exactly-once execution
-/// and zero loss.
+/// and zero loss; serve lanes grade the daemon fleet's robustness, and
+/// the tiered lane the trace engine's guard-trip fallback.
 pub fn journal_chaos_seed(
     plan: &Plan,
     jobs: usize,
@@ -658,18 +604,16 @@ pub fn journal_chaos_seed(
     dir: &Path,
     pristine: &[u8],
     baseline: &BTreeMap<RunRequest, u64>,
-) -> Result<JournalChaosVerdict, JournalError> {
+) -> Result<ChaosVerdict, JournalError> {
     let lane = journal_lane(seed);
     if lane.is_multi_writer() {
-        return multi_writer_seed(plan, jobs, seed, lane, config, dir, baseline)
-            .map(JournalChaosVerdict::MultiWriter);
+        return multi_writer_seed(plan, jobs, seed, lane, config, dir, baseline);
     }
     if lane.is_serve() {
-        return serve_chaos_seed(plan, jobs, seed, lane, config, dir, pristine, baseline)
-            .map(JournalChaosVerdict::Serve);
+        return serve_chaos_seed(plan, jobs, seed, lane, config, dir, pristine, baseline);
     }
     if lane.is_tiered() {
-        return Ok(JournalChaosVerdict::Tiered(tiered_chaos_seed(seed, lane)));
+        return Ok(tiered_chaos_seed(seed, lane));
     }
     let mut corrupted = pristine.to_vec();
     let corruption = corrupt_journal(&mut corrupted, lane, seed);
@@ -683,13 +627,47 @@ pub fn journal_chaos_seed(
 
     let jconfig = JournalConfig::new(dir).with_resume(true);
     let (executed, report) = journal::execute_journaled(plan, jobs, config, &jconfig)?;
-    Ok(JournalChaosVerdict::Corruption(grade_outcome(
-        plan, seed, corruption, &executed, &report, &path, baseline,
-    )))
+    let expected = corruption.expected_kind;
+    Ok(ChaosVerdict {
+        seed,
+        lane,
+        context: format!(
+            "expect {} ({} requeued), requeued {}",
+            expected.label(),
+            corruption.expected_requeued,
+            report.executed
+        ),
+        checks: vec![
+            ("detected", report.defects.iter().any(|d| d.kind == expected)),
+            // Classification, not just detection: no defect of any
+            // other kind was reported.
+            ("classified", report.defects.iter().all(|d| d.kind == expected)),
+            ("requeued", report.executed == corruption.expected_requeued),
+            ("store-intact", content_hashes(plan, &executed) == *baseline),
+            ("healed", journal_complete_and_clean(plan, &path) == (true, true)),
+        ],
+    })
+}
+
+/// Whether the journal at `path` holds a record for every planned
+/// request, and whether it parses with zero defects.
+fn journal_complete_and_clean(plan: &Plan, path: &Path) -> (bool, bool) {
+    match std::fs::read(path) {
+        Ok(bytes) => {
+            let reloaded = journal::load_bytes(&bytes, crate::fingerprint::current_epoch());
+            (
+                plan.requests()
+                    .iter()
+                    .all(|r| reloaded.records.contains_key(&r.fingerprint())),
+                reloaded.defects.is_empty(),
+            )
+        }
+        Err(_) => (false, false),
+    }
 }
 
 /// A PID no live process on a sane Linux can hold (`pid_max` caps far
-/// below it) — the corpse identity multi-writer lanes plant.
+/// below it) — the corpse identity multi-writer and serve lanes plant.
 const DEAD_PID: u32 = 4_000_000_000;
 
 /// Run one multi-writer coordination scenario against a cold cache.
@@ -701,7 +679,7 @@ fn multi_writer_seed(
     config: &SuperviseConfig,
     dir: &Path,
     baseline: &BTreeMap<RunRequest, u64>,
-) -> Result<MultiWriterOutcome, JournalError> {
+) -> Result<ChaosVerdict, JournalError> {
     // Start cold: drop the journal and any coordination state left by a
     // previous round (sessions from finished campaigns are deregistered,
     // but corruption rounds leave a journal behind).
@@ -736,9 +714,7 @@ fn multi_writer_seed(
             for joined in results {
                 match joined {
                     Ok(result) => campaigns.push(result?),
-                    Err(_) => {
-                        return Ok(failed_multi_writer(seed, lane, 2, plan.len()));
-                    }
+                    Err(_) => return Ok(ChaosVerdict::did_not_run(seed, lane)),
                 }
             }
             (2, campaigns)
@@ -794,59 +770,35 @@ fn multi_writer_seed(
             compactions?;
             match joined {
                 Ok(result) => (1, vec![result?]),
-                Err(_) => return Ok(failed_multi_writer(seed, lane, 1, plan.len())),
+                Err(_) => return Ok(ChaosVerdict::did_not_run(seed, lane)),
             }
         }
-        _ => return Ok(failed_multi_writer(seed, lane, 0, plan.len())),
+        _ => return Ok(ChaosVerdict::did_not_run(seed, lane)),
     };
 
-    let executed_total = campaigns.iter().map(|(_, report)| report.executed).sum();
-    let store_intact = campaigns
-        .iter()
-        .all(|(executed, _)| content_hashes(plan, executed) == *baseline);
-    let (journal_complete, journal_clean) = match std::fs::read(dir.join(JOURNAL_FILE)) {
-        Ok(bytes) => {
-            let reloaded = journal::load_bytes(&bytes, crate::fingerprint::current_epoch());
+    // Exactly-once: executions summed across every campaign equal the
+    // plan — no request ran twice, none was skipped.
+    let executed_total: usize = campaigns.iter().map(|(_, report)| report.executed).sum();
+    let (complete, clean) = journal_complete_and_clean(plan, &dir.join(JOURNAL_FILE));
+    Ok(ChaosVerdict {
+        seed,
+        lane,
+        context: format!(
+            "{writers} writer(s), executed {executed_total} of {} run(s)",
+            plan.len()
+        ),
+        checks: vec![
+            ("executed", executed_total == plan.len()),
             (
-                plan.requests()
+                "store-intact",
+                campaigns
                     .iter()
-                    .all(|r| reloaded.records.contains_key(&r.fingerprint())),
-                reloaded.defects.is_empty(),
-            )
-        }
-        Err(_) => (false, false),
-    };
-    Ok(MultiWriterOutcome {
-        seed,
-        lane,
-        writers,
-        planned: plan.len(),
-        executed_total,
-        store_intact,
-        journal_complete,
-        journal_clean,
+                    .all(|(executed, _)| content_hashes(plan, executed) == *baseline),
+            ),
+            ("complete", complete),
+            ("clean", clean),
+        ],
     })
-}
-
-/// The all-false outcome for a scenario that could not even run (a
-/// campaign thread panicked, or an impossible lane reached the
-/// dispatcher) — it renders as FAIL rather than crashing the sweep.
-fn failed_multi_writer(
-    seed: u64,
-    lane: JournalChaosLane,
-    writers: usize,
-    planned: usize,
-) -> MultiWriterOutcome {
-    MultiWriterOutcome {
-        seed,
-        lane,
-        writers,
-        planned,
-        executed_total: 0,
-        store_intact: false,
-        journal_complete: false,
-        journal_clean: false,
-    }
 }
 
 fn journal_io(dir: &Path, e: std::io::Error) -> JournalError {
@@ -858,89 +810,9 @@ fn journal_io(dir: &Path, e: std::io::Error) -> JournalError {
     }
 }
 
-/// One line per multi-writer round, shape-stable with the corruption
-/// render: the seed, the lane, the oracle, and the verdict.
-pub fn render_multi_writer(outcome: &MultiWriterOutcome) -> String {
-    format!(
-        "journal-chaos seed {}: lane {} -> {} writer(s) over {} run(s): executed={} store-intact={} complete={} clean={} [{}]",
-        outcome.seed,
-        outcome.lane.label(),
-        outcome.writers,
-        outcome.planned,
-        outcome.executed_total,
-        outcome.store_intact,
-        outcome.journal_complete,
-        outcome.journal_clean,
-        if outcome.passed() { "ok" } else { "FAIL" },
-    )
-}
-
 /// Stream-splitting constant for serve-lane rolls (torn-cut positions,
 /// crash prefixes), decorrelated from the corruption streams.
 const SERVE_STREAM: u64 = 0x5E27_E001_CAFE_D00D;
-
-/// One serve-daemon chaos verdict: what the lane injected, what the
-/// daemon answered, and whether execution stayed exactly-once with
-/// responses byte-identical to the cold baseline.
-#[derive(Debug, Clone)]
-pub struct ServeChaosOutcome {
-    /// The chaos seed.
-    pub seed: u64,
-    /// Which serve lane ran.
-    pub lane: JournalChaosLane,
-    /// Requests in the plan — the exactly-once denominator.
-    pub planned: usize,
-    /// Ok responses the oracle demands.
-    pub expected_ok: usize,
-    /// Typed rejections the oracle demands.
-    pub expected_rejected: usize,
-    /// Ok responses actually published.
-    pub ok: usize,
-    /// Typed rejections actually published (of the expected kind).
-    pub rejected: usize,
-    /// Executions summed across every campaign (daemon requests plus
-    /// any racing batch writer).
-    pub executed_total: usize,
-    /// Every response's accounting satisfied
-    /// `reused + executed + reused_live == planned`, and the combined
-    /// execution count matched the lane's oracle.
-    pub exactly_once: bool,
-    /// Every ok response body was byte-identical to the cold baseline
-    /// rendering.
-    pub body_identical: bool,
-    /// The daemon exited cleanly and released its pid lease.
-    pub clean_exit: bool,
-}
-
-impl ServeChaosOutcome {
-    /// True iff every oracle held.
-    pub fn passed(&self) -> bool {
-        self.ok == self.expected_ok
-            && self.rejected == self.expected_rejected
-            && self.exactly_once
-            && self.body_identical
-            && self.clean_exit
-    }
-}
-
-/// One line per serve round, shape-stable with the other renders.
-pub fn render_serve_chaos(outcome: &ServeChaosOutcome) -> String {
-    format!(
-        "journal-chaos seed {}: lane {} -> expect {} ok / {} rejected over {} run(s): ok={} rejected={} executed={} exactly-once={} body-identical={} clean-exit={} [{}]",
-        outcome.seed,
-        outcome.lane.label(),
-        outcome.expected_ok,
-        outcome.expected_rejected,
-        outcome.planned,
-        outcome.ok,
-        outcome.rejected,
-        outcome.executed_total,
-        outcome.exactly_once,
-        outcome.body_identical,
-        outcome.clean_exit,
-        if outcome.passed() { "ok" } else { "FAIL" },
-    )
-}
 
 /// The tiny [`crate::serve::PlanService`] the serve lanes run: one known
 /// target (`chaos-plan`) mapping to the fixed journal-chaos plan,
@@ -984,21 +856,121 @@ fn render_hash_body(plan: &Plan, hashes: &BTreeMap<RunRequest, u64>) -> String {
         .collect()
 }
 
-/// The all-false outcome for a serve scenario that could not even run.
-fn failed_serve(seed: u64, lane: JournalChaosLane, planned: usize) -> ServeChaosOutcome {
-    ServeChaosOutcome {
-        seed,
-        lane,
-        planned,
-        expected_ok: 0,
-        expected_rejected: 0,
-        ok: 0,
-        rejected: 0,
-        executed_total: 0,
-        exactly_once: false,
-        body_identical: false,
-        clean_exit: false,
+/// What a serve lane read back from the outbox, plus its oracle. Every
+/// serve lane grades the same five checks from this.
+#[derive(Debug, Default)]
+struct ServeTally {
+    /// Ok responses the oracle demands.
+    expected_ok: usize,
+    /// Typed rejections the oracle demands.
+    expected_rejected: usize,
+    /// Ok responses actually published.
+    ok: usize,
+    /// Typed rejections actually published (of the lane's kind).
+    rejected: usize,
+    /// Executions summed across every ok response (plus any racing
+    /// batch writer).
+    executed: usize,
+    /// Runs the ok responses reused from the journal.
+    reused: usize,
+    /// Every response's accounting balanced over the whole plan, and
+    /// the lane's combined execution oracle held.
+    exactly_once: bool,
+    /// Every ok response body was byte-identical to the cold baseline.
+    body_identical: bool,
+}
+
+impl ServeTally {
+    /// Wait for the response to every id in `ids` and fold it in:
+    /// ok responses are graded against `planned` and `expected_body`,
+    /// and rejections of kind `rejection` (if given) are counted.
+    fn read(
+        dir: &Path,
+        ids: &[String],
+        planned: usize,
+        expected_body: &str,
+        rejection: Option<crate::serve::RejectKind>,
+    ) -> Result<ServeTally, JournalError> {
+        use crate::serve::{ServeOutcome, WaitOutcome};
+        let mut tally = ServeTally { exactly_once: true, body_identical: true, ..ServeTally::default() };
+        for id in ids {
+            let waited = crate::serve::wait(
+                dir,
+                id,
+                std::time::Duration::from_secs(120),
+                std::time::Duration::from_millis(2),
+            )?;
+            let WaitOutcome::Response(response) = waited else {
+                continue;
+            };
+            match response.outcome {
+                ServeOutcome::Ok { accounting, body, .. } => {
+                    tally.ok += 1;
+                    tally.executed += accounting.executed;
+                    tally.reused += accounting.reused;
+                    tally.exactly_once &=
+                        accounting.exactly_once() && accounting.planned == planned;
+                    tally.body_identical &= body == expected_body.as_bytes();
+                }
+                ServeOutcome::Rejected(reject) => {
+                    tally.rejected += usize::from(Some(reject.kind) == rejection);
+                }
+            }
+        }
+        Ok(tally)
     }
+
+    /// The lane's verdict, with `clean_exit` graded by the caller.
+    fn verdict(
+        &self,
+        seed: u64,
+        lane: JournalChaosLane,
+        planned: usize,
+        clean_exit: bool,
+    ) -> ChaosVerdict {
+        ChaosVerdict {
+            seed,
+            lane,
+            context: format!(
+                "expect {} ok / {} rejected over {planned} run(s), got {} / {}, executed {}",
+                self.expected_ok, self.expected_rejected, self.ok, self.rejected, self.executed
+            ),
+            checks: vec![
+                ("ok", self.ok == self.expected_ok),
+                ("rejected", self.rejected == self.expected_rejected),
+                ("exactly-once", self.exactly_once),
+                ("body-identical", self.body_identical),
+                ("clean-exit", clean_exit),
+            ],
+        }
+    }
+}
+
+/// Plant a dead fleet member `token` (pid `pid`, heartbeat `heartbeat`
+/// if any) holding one claimed request; returns its work dir.
+fn plant_member(
+    dir: &Path,
+    token: &str,
+    pid: u32,
+    heartbeat: Option<&str>,
+    claimed: &crate::serve::ServeRequest,
+) -> Result<std::path::PathBuf, JournalError> {
+    let fleet_dir = dir.join(crate::fleet::FLEET_DIR);
+    std::fs::create_dir_all(&fleet_dir).map_err(|e| journal_io(dir, e))?;
+    std::fs::write(fleet_dir.join(token), format!("pid {pid}\ntoken {token}\n"))
+        .map_err(|e| journal_io(dir, e))?;
+    if let Some(heartbeat) = heartbeat {
+        std::fs::write(fleet_dir.join(format!("{token}.hb")), heartbeat)
+            .map_err(|e| journal_io(dir, e))?;
+    }
+    let work = dir.join(crate::serve::WORK_DIR).join(token);
+    std::fs::create_dir_all(&work).map_err(|e| journal_io(dir, e))?;
+    std::fs::write(
+        work.join(format!("{}.req", claimed.id)),
+        crate::serve::encode_request(claimed),
+    )
+    .map_err(|e| journal_io(dir, e))?;
+    Ok(work)
 }
 
 /// Run one serve-daemon robustness scenario against a cold cache.
@@ -1012,11 +984,8 @@ fn serve_chaos_seed(
     dir: &Path,
     pristine: &[u8],
     baseline: &BTreeMap<RunRequest, u64>,
-) -> Result<ServeChaosOutcome, JournalError> {
-    use crate::serve::{
-        self, ServeConfig, ServeError, ServeOutcome, ServeRequest, WaitOutcome, INBOX_DIR,
-        SERVE_DIR, WORK_DIR,
-    };
+) -> Result<ChaosVerdict, JournalError> {
+    use crate::serve::{self, RejectKind, ServeConfig, ServeRequest, INBOX_DIR, SERVE_DIR};
 
     // Start cold: no journal, no lock, no serve state from prior rounds
     // (crash-recovery plants its own journal prefix below).
@@ -1034,10 +1003,13 @@ fn serve_chaos_seed(
     serve_config.jobs = jobs;
     serve_config.supervise = *config;
     serve_config.poll = std::time::Duration::from_millis(1);
-    let patience = std::time::Duration::from_secs(120);
-    let poll = std::time::Duration::from_millis(2);
     let chaos_request =
         |id: &str| ServeRequest::new(id, &["chaos-plan"], interp_core::Scale::Test);
+    let responses = |ids: &[String], rejection: Option<RejectKind>| {
+        ServeTally::read(dir, ids, planned, &expected_body, rejection)
+    };
+    // Every daemon deregisters on exit: the fleet registry is empty.
+    let fleet_empty = || crate::fleet::fleet_members(dir).is_empty();
 
     match lane {
         JournalChaosLane::TornServeRequest => {
@@ -1054,103 +1026,41 @@ fn serve_chaos_seed(
             std::fs::write(inbox.join("torn.req"), &full.as_bytes()[..cut])
                 .map_err(|e| journal_io(dir, e))?;
             serve_config.max_requests = Some(1);
-            let report = match serve::serve(&serve_config, &service) {
-                Ok(report) => report,
-                Err(ServeError::AlreadyRunning { .. }) => {
-                    return Ok(failed_serve(seed, lane, planned))
-                }
-                Err(ServeError::Journal(e)) => return Err(e),
-            };
-            let torn_rejected = matches!(
-                serve::wait(dir, "torn", patience, poll)?,
-                WaitOutcome::Response(serve::ServeResponse {
-                    outcome: ServeOutcome::Rejected(ref reject),
-                    ..
-                }) if reject.kind == serve::RejectKind::Torn
-            );
-            Ok(ServeChaosOutcome {
-                seed,
-                lane,
-                planned,
-                expected_ok: 0,
+            serve::serve(&serve_config, &service)?;
+            let tally = ServeTally {
                 expected_rejected: 1,
-                ok: report.served,
-                rejected: usize::from(torn_rejected),
-                executed_total: 0,
-                exactly_once: true,
-                body_identical: true,
-                clean_exit: !dir.join(serve::DAEMON_FILE).exists(),
-            })
+                ..responses(&["torn".to_string()], Some(RejectKind::Torn))?
+            };
+            Ok(tally.verdict(seed, lane, planned, fleet_empty()))
         }
         JournalChaosLane::ServeCrashRecovery => {
             // A daemon died between claiming a request and committing its
-            // response: the journal holds only a prefix of the plan, the
-            // pid lease names a corpse, and the claimed request sits
-            // orphaned in work/. The fresh daemon must steal the lease,
-            // recover the orphan, reuse the prefix, execute the residue,
-            // and answer byte-identically to a cold run.
+            // response: the journal holds only a prefix of the plan, and
+            // the dead fleet member's claimed request sits orphaned in
+            // its work dir. The fresh daemon must adopt the orphan, reuse
+            // the prefix, execute the residue, and answer
+            // byte-identically to a cold run.
             let spans = journal::record_spans(pristine);
             let n = spans.len();
             if n < 2 {
-                return Ok(failed_serve(seed, lane, planned));
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
             }
             let prefix = 1 + rng.index(0, n - 1);
             std::fs::write(dir.join(JOURNAL_FILE), &pristine[..spans[prefix - 1].end])
                 .map_err(|e| journal_io(dir, e))?;
-            let work = dir.join(WORK_DIR);
-            std::fs::create_dir_all(&work).map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                work.join("crashed.req"),
-                serve::encode_request(&chaos_request("crashed")),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                dir.join(serve::DAEMON_FILE),
-                format!("pid {DEAD_PID}\ntoken corpse\n"),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                dir.join(serve::HEARTBEAT_FILE),
-                format!("pid {DEAD_PID}\ntick 0\nunix_ms 0\n"),
-            )
-            .map_err(|e| journal_io(dir, e))?;
+            let corpse_work =
+                plant_member(dir, "corpse", DEAD_PID, None, &chaos_request("crashed"))?;
             serve_config.max_requests = Some(1);
-            let report = match serve::serve(&serve_config, &service) {
-                Ok(report) => report,
-                Err(ServeError::AlreadyRunning { .. }) => {
-                    return Ok(failed_serve(seed, lane, planned))
-                }
-                Err(ServeError::Journal(e)) => return Err(e),
-            };
-            let (ok, executed_total, exactly_once, body_identical) =
-                match serve::wait(dir, "crashed", patience, poll)? {
-                    WaitOutcome::Response(response) => match response.outcome {
-                        ServeOutcome::Ok { accounting, body, .. } => (
-                            1,
-                            accounting.executed,
-                            accounting.exactly_once()
-                                && accounting.reused == prefix
-                                && accounting.executed == planned - prefix,
-                            body == expected_body.as_bytes(),
-                        ),
-                        ServeOutcome::Rejected(_) => (0, 0, false, false),
-                    },
-                    WaitOutcome::TimedOut => (0, 0, false, false),
-                };
-            Ok(ServeChaosOutcome {
-                seed,
-                lane,
-                planned,
-                expected_ok: 1,
-                expected_rejected: 0,
-                ok,
-                rejected: report.rejected,
-                executed_total,
-                exactly_once,
-                body_identical,
-                clean_exit: !dir.join(serve::DAEMON_FILE).exists()
-                    && !work.join("crashed.req").exists(),
-            })
+            let report = serve::serve(&serve_config, &service)?;
+            let mut tally = responses(&["crashed".to_string()], None)?;
+            tally.expected_ok = 1;
+            tally.rejected = report.rejected;
+            tally.exactly_once &= tally.ok == 1
+                && tally.reused == prefix
+                && tally.executed == planned - prefix;
+            tally.body_identical &= tally.ok == 1;
+            let clean_exit = fleet_empty() && !corpse_work.join("crashed.req").exists();
+            Ok(tally.verdict(seed, lane, planned, clean_exit))
         }
         JournalChaosLane::ServeClientRace => {
             // N clients race one daemon while a batch campaign shares the
@@ -1160,84 +1070,41 @@ fn serve_chaos_seed(
             let clients = 2 + (seed as usize % 2);
             serve_config.max_requests = Some(clients as u64);
             let stagger = std::time::Duration::from_millis(seed % 5);
-            let (daemon_result, batch_result, responses) = std::thread::scope(|scope| {
-                let daemon = {
-                    let serve_config = serve_config.clone();
-                    let service = &service;
-                    scope.spawn(move || serve::serve(&serve_config, service))
-                };
+            let ids: Vec<String> = (0..clients).map(|i| format!("race-{i}")).collect();
+            let (daemon, batch, submitted) = std::thread::scope(|scope| {
+                let daemon = scope.spawn(|| serve::serve(&serve_config, &service));
                 let batch = scope.spawn(|| {
                     std::thread::sleep(stagger);
                     let jconfig = JournalConfig::new(dir).with_resume(true);
                     journal::execute_journaled(plan, jobs, config, &jconfig)
                 });
-                let client_handles: Vec<_> = (0..clients)
-                    .map(|i| {
-                        let request = chaos_request(&format!("race-{i}"));
-                        scope.spawn(move || {
-                            serve::submit(dir, &request)?;
-                            serve::wait(dir, &request.id, patience, poll)
-                        })
-                    })
+                let clients: Vec<_> = ids
+                    .iter()
+                    .map(|id| scope.spawn(move || serve::submit(dir, &chaos_request(id))))
                     .collect();
-                let responses: Vec<_> = client_handles
-                    .into_iter()
-                    .map(|h| h.join())
-                    .collect();
-                (daemon.join(), batch.join(), responses)
+                let submitted: Vec<_> = clients.into_iter().map(|h| h.join()).collect();
+                (daemon.join(), batch.join(), submitted)
             });
-            let Ok(daemon_result) = daemon_result else {
-                return Ok(failed_serve(seed, lane, planned));
+            let (Ok(daemon), Ok(batch)) = (daemon, batch) else {
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
             };
-            let report = match daemon_result {
-                Ok(report) => report,
-                Err(ServeError::AlreadyRunning { .. }) => {
-                    return Ok(failed_serve(seed, lane, planned))
-                }
-                Err(ServeError::Journal(e)) => return Err(e),
-            };
-            let Ok(batch_result) = batch_result else {
-                return Ok(failed_serve(seed, lane, planned));
-            };
-            let (batch_executed, batch_report) = batch_result?;
-            let batch_intact = content_hashes(plan, &batch_executed) == *baseline;
-            let mut ok = 0usize;
-            let mut executed_total = batch_report.executed;
-            let mut exactly_once = batch_report.planned == planned;
-            let mut body_identical = batch_intact;
-            for joined in responses {
-                let Ok(waited) = joined else {
-                    return Ok(failed_serve(seed, lane, planned));
+            for joined in submitted {
+                let Ok(submitted) = joined else {
+                    return Ok(ChaosVerdict::did_not_run(seed, lane));
                 };
-                match waited? {
-                    WaitOutcome::Response(response) => match response.outcome {
-                        ServeOutcome::Ok { accounting, body, .. } => {
-                            ok += 1;
-                            executed_total += accounting.executed;
-                            exactly_once &= accounting.exactly_once()
-                                && accounting.planned == planned;
-                            body_identical &= body == expected_body.as_bytes();
-                        }
-                        ServeOutcome::Rejected(_) => {}
-                    },
-                    WaitOutcome::TimedOut => {}
-                }
+                submitted?;
             }
-            exactly_once &= executed_total == planned;
-            Ok(ServeChaosOutcome {
-                seed,
-                lane,
-                planned,
-                expected_ok: clients,
-                expected_rejected: 0,
-                ok,
-                rejected: report.rejected,
-                executed_total,
-                exactly_once,
-                body_identical,
-                clean_exit: report.served + report.rejected == clients
-                    && !dir.join(serve::DAEMON_FILE).exists(),
-            })
+            let report = daemon?;
+            let (batch_executed, batch_report) = batch?;
+            let mut tally = responses(&ids, None)?;
+            tally.expected_ok = clients;
+            tally.rejected = report.rejected;
+            tally.executed += batch_report.executed;
+            tally.exactly_once &=
+                batch_report.planned == planned && tally.executed == planned;
+            tally.body_identical &= content_hashes(plan, &batch_executed) == *baseline;
+            let clean_exit = report.served + report.rejected == clients && fleet_empty();
+            Ok(tally.verdict(seed, lane, planned, clean_exit))
         }
         JournalChaosLane::FleetMemberKill => {
             // One of two daemons was killed mid-burst: a wedged member
@@ -1246,74 +1113,28 @@ fn serve_chaos_seed(
             // path, the one `/proc` can't catch. The survivor must
             // sweep it, re-adopt the claim, and serve the whole
             // mixed-priority burst byte-identically to serial cold.
-            let fleet_dir = dir.join(crate::fleet::FLEET_DIR);
-            std::fs::create_dir_all(&fleet_dir).map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                fleet_dir.join("wedged"),
-                format!("pid {}\ntoken wedged\n", std::process::id()),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                fleet_dir.join("wedged.hb"),
-                format!(
-                    "pid {}\ntick 1\nunix_ms 1\nserved 0\nin-flight 1\n",
-                    std::process::id()
-                ),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            let wedged_work = dir.join(WORK_DIR).join("wedged");
-            std::fs::create_dir_all(&wedged_work).map_err(|e| journal_io(dir, e))?;
+            let pid = std::process::id();
             let mut killed = chaos_request("killed");
             killed.priority = i64::from(rng.range(0, 4) as u32);
-            std::fs::write(wedged_work.join("killed.req"), serve::encode_request(&killed))
-                .map_err(|e| journal_io(dir, e))?;
+            let wedged_work = plant_member(
+                dir,
+                "wedged",
+                pid,
+                Some(&format!("pid {pid}\ntick 1\nunix_ms 1\nserved 0\nin-flight 1\n")),
+                &killed,
+            )?;
             let mut urgent = chaos_request("urgent");
             urgent.priority = 7;
             serve::submit(dir, &urgent)?;
             serve_config.max_requests = Some(2);
             serve_config.serve_jobs = 2;
-            let report = match serve::serve(&serve_config, &service) {
-                Ok(report) => report,
-                Err(ServeError::AlreadyRunning { .. }) => {
-                    return Ok(failed_serve(seed, lane, planned))
-                }
-                Err(ServeError::Journal(e)) => return Err(e),
-            };
-            let mut ok = 0usize;
-            let mut executed_total = 0usize;
-            let mut exactly_once = report.adopted == 1;
-            let mut body_identical = true;
-            for id in ["killed", "urgent"] {
-                match serve::wait(dir, id, patience, poll)? {
-                    WaitOutcome::Response(response) => match response.outcome {
-                        ServeOutcome::Ok { accounting, body, .. } => {
-                            ok += 1;
-                            executed_total += accounting.executed;
-                            exactly_once &= accounting.exactly_once()
-                                && accounting.planned == planned;
-                            body_identical &= body == expected_body.as_bytes();
-                        }
-                        ServeOutcome::Rejected(_) => {}
-                    },
-                    WaitOutcome::TimedOut => {}
-                }
-            }
-            exactly_once &= executed_total == planned;
-            Ok(ServeChaosOutcome {
-                seed,
-                lane,
-                planned,
-                expected_ok: 2,
-                expected_rejected: 0,
-                ok,
-                rejected: report.rejected,
-                executed_total,
-                exactly_once,
-                body_identical,
-                clean_exit: crate::fleet::fleet_members(dir).is_empty()
-                    && !wedged_work.exists()
-                    && !dir.join(serve::DAEMON_FILE).exists(),
-            })
+            let report = serve::serve(&serve_config, &service)?;
+            let mut tally = responses(&["killed".to_string(), "urgent".to_string()], None)?;
+            tally.expected_ok = 2;
+            tally.rejected = report.rejected;
+            tally.exactly_once &= report.adopted == 1 && tally.executed == planned;
+            let clean_exit = fleet_empty() && !wedged_work.exists();
+            Ok(tally.verdict(seed, lane, planned, clean_exit))
         }
         JournalChaosLane::FleetOrphanAdoption => {
             // A dead member (corpse pid) left a claimed request behind
@@ -1322,140 +1143,64 @@ fn serve_chaos_seed(
             // between the racers, every response must be ok and
             // byte-identical, and a stop request must drain both
             // members cleanly, consuming the marker.
-            let fleet_dir = dir.join(crate::fleet::FLEET_DIR);
-            std::fs::create_dir_all(&fleet_dir).map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                fleet_dir.join("corpse"),
-                format!("pid {DEAD_PID}\ntoken corpse\n"),
-            )
-            .map_err(|e| journal_io(dir, e))?;
-            let corpse_work = dir.join(WORK_DIR).join("corpse");
-            std::fs::create_dir_all(&corpse_work).map_err(|e| journal_io(dir, e))?;
-            std::fs::write(
-                corpse_work.join("lost.req"),
-                serve::encode_request(&chaos_request("lost")),
-            )
-            .map_err(|e| journal_io(dir, e))?;
+            let corpse_work =
+                plant_member(dir, "corpse", DEAD_PID, None, &chaos_request("lost"))?;
             let burst = 2 + (seed as usize % 2);
             let mut ids = vec!["lost".to_string()];
             for i in 0..burst {
                 let mut request = chaos_request(&format!("fleet-{i}"));
                 request.priority = (i as i64 % 3) - 1;
-                request.deadline_unix_ms =
-                    Some(crate::fleet::unix_ms() as u64 + 600_000);
+                request.deadline_unix_ms = Some(crate::fleet::unix_ms() as u64 + 600_000);
                 serve::submit(dir, &request)?;
                 ids.push(request.id);
             }
             let (first, second) = std::thread::scope(|scope| {
-                let spawn_daemon = || {
-                    let serve_config = serve_config.clone();
-                    let service = &service;
-                    scope.spawn(move || serve::serve(&serve_config, service))
-                };
-                let a = spawn_daemon();
-                let b = spawn_daemon();
+                let a = scope.spawn(|| serve::serve(&serve_config, &service));
+                let b = scope.spawn(|| serve::serve(&serve_config, &service));
                 // Every response must arrive while both daemons run;
                 // only then drain the fleet.
-                for id in &ids {
-                    let _ = serve::wait(dir, id, patience, poll);
-                }
+                let _ = responses(&ids, None);
                 let _ = serve::request_stop(dir);
                 (a.join(), b.join())
             });
             let (Ok(first), Ok(second)) = (first, second) else {
-                return Ok(failed_serve(seed, lane, planned));
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
             };
-            let reports = match (first, second) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(ServeError::Journal(e)), _) | (_, Err(ServeError::Journal(e))) => {
-                    return Err(e)
-                }
-                _ => return Ok(failed_serve(seed, lane, planned)),
-            };
-            let mut ok = 0usize;
-            let mut executed_total = 0usize;
-            let mut exactly_once = reports.0.adopted + reports.1.adopted == 1;
-            let mut body_identical = true;
-            for id in &ids {
-                match serve::wait(dir, id, patience, poll)? {
-                    WaitOutcome::Response(response) => match response.outcome {
-                        ServeOutcome::Ok { accounting, body, .. } => {
-                            ok += 1;
-                            executed_total += accounting.executed;
-                            exactly_once &= accounting.exactly_once()
-                                && accounting.planned == planned;
-                            body_identical &= body == expected_body.as_bytes();
-                        }
-                        ServeOutcome::Rejected(_) => {}
-                    },
-                    WaitOutcome::TimedOut => {}
-                }
-            }
-            exactly_once &= executed_total == planned;
-            Ok(ServeChaosOutcome {
-                seed,
-                lane,
-                planned,
-                expected_ok: burst + 1,
-                expected_rejected: 0,
-                ok,
-                rejected: reports.0.rejected + reports.1.rejected,
-                executed_total,
-                exactly_once,
-                body_identical,
-                clean_exit: reports.0.drained
-                    && reports.1.drained
-                    && crate::fleet::fleet_members(dir).is_empty()
-                    && !dir.join(serve::STOP_FILE).exists()
-                    && !corpse_work.exists(),
-            })
+            let (a, b) = (first?, second?);
+            let mut tally = responses(&ids, None)?;
+            tally.expected_ok = burst + 1;
+            tally.rejected = a.rejected + b.rejected;
+            tally.exactly_once &= a.adopted + b.adopted == 1 && tally.executed == planned;
+            let clean_exit = a.drained
+                && b.drained
+                && fleet_empty()
+                && !dir.join(serve::STOP_FILE).exists()
+                && !corpse_work.exists();
+            Ok(tally.verdict(seed, lane, planned, clean_exit))
         }
         JournalChaosLane::DeadlineStorm => {
             // Every request in the burst is already expired. Each must
             // be answered with a typed deadline-expired rejection —
             // zero executions, no journal ever created.
             let storm = 3 + (seed as usize % 3);
+            let mut ids = Vec::new();
             for i in 0..storm {
                 let mut request = chaos_request(&format!("storm-{i}"));
                 request.deadline_unix_ms = Some(1 + rng.range(0, 1000));
                 request.priority = (i as i64) - 1;
                 serve::submit(dir, &request)?;
+                ids.push(request.id);
             }
             serve_config.max_requests = Some(storm as u64);
-            let report = match serve::serve(&serve_config, &service) {
-                Ok(report) => report,
-                Err(ServeError::AlreadyRunning { .. }) => {
-                    return Ok(failed_serve(seed, lane, planned))
-                }
-                Err(ServeError::Journal(e)) => return Err(e),
-            };
-            let mut rejected = 0usize;
-            for i in 0..storm {
-                let expired = matches!(
-                    serve::wait(dir, &format!("storm-{i}"), patience, poll)?,
-                    WaitOutcome::Response(serve::ServeResponse {
-                        outcome: ServeOutcome::Rejected(ref reject),
-                        ..
-                    }) if reject.kind == serve::RejectKind::DeadlineExpired
-                );
-                rejected += usize::from(expired);
-            }
-            Ok(ServeChaosOutcome {
-                seed,
-                lane,
-                planned,
-                expected_ok: 0,
+            serve::serve(&serve_config, &service)?;
+            let tally = ServeTally {
                 expected_rejected: storm,
-                ok: report.served,
-                rejected,
-                executed_total: 0,
                 exactly_once: !dir.join(JOURNAL_FILE).exists(),
-                body_identical: true,
-                clean_exit: crate::fleet::fleet_members(dir).is_empty()
-                    && !dir.join(serve::DAEMON_FILE).exists(),
-            })
+                ..responses(&ids, Some(RejectKind::DeadlineExpired))?
+            };
+            Ok(tally.verdict(seed, lane, planned, fleet_empty()))
         }
-        _ => Ok(failed_serve(seed, lane, planned)),
+        _ => Ok(ChaosVerdict::did_not_run(seed, lane)),
     }
 }
 
@@ -1469,40 +1214,6 @@ const TIERED_STREAM: u64 = 0x71E2_ED00_6A2D_7219;
 /// guard-trip ordinal rolled in [1, 64] always lands mid-trace.
 const TIERED_CHAOS_PROGRAM: &str =
     "void main() { int s = 0; for (int i = 0; i < 300; i++) { s += i; } Native.printInt(s); }";
-
-/// One tiered guard-trip verdict: where the spurious trip fired and
-/// whether the engine aborted, blacklisted, and fell back without any
-/// observable change.
-#[derive(Debug, Clone)]
-pub struct TieredChaosOutcome {
-    /// The chaos seed.
-    pub seed: u64,
-    /// The lane (always [`JournalChaosLane::TieredGuardTrip`]).
-    pub lane: JournalChaosLane,
-    /// The 1-based in-trace guard ordinal the trip fired at.
-    pub guard_trip_after: u32,
-    /// The faulted run recorded exactly one abort — the trip was taken.
-    pub trace_aborted: bool,
-    /// The aborted anchor stayed blacklisted: the trace was recorded
-    /// once and never re-recorded after the abort.
-    pub blacklisted: bool,
-    /// Console output of the faulted tiered run is byte-identical to
-    /// the never-tiered (naive) run.
-    pub output_identical: bool,
-    /// Virtual-command counts agree with the never-tiered run.
-    pub commands_identical: bool,
-}
-
-impl TieredChaosOutcome {
-    /// True iff the trip was taken, the anchor stayed dead, and nothing
-    /// observable changed.
-    pub fn passed(&self) -> bool {
-        self.trace_aborted
-            && self.blacklisted
-            && self.output_identical
-            && self.commands_identical
-    }
-}
 
 /// One tiered run of the lane's fixed program; `None` if the engine
 /// errored (which the oracle grades as failure).
@@ -1525,94 +1236,33 @@ fn tiered_probe(
 /// Run one tiered guard-trip round: a never-tiered baseline, then the
 /// same program tiered with a seed-rolled spurious guard trip, graded
 /// for abort + blacklist + byte-identical fallback.
-fn tiered_chaos_seed(seed: u64, lane: JournalChaosLane) -> TieredChaosOutcome {
+fn tiered_chaos_seed(seed: u64, lane: JournalChaosLane) -> ChaosVerdict {
     let mut rng = Rng64::new(seed ^ TIERED_STREAM);
     let after = rng.range(1, 64) as u32;
-    let failed = TieredChaosOutcome {
+    let naive = tiered_probe(DispatchStrategy::Naive, DispatchFault::None);
+    let tiered = tiered_probe(DispatchStrategy::Tiered, DispatchFault::TraceGuardTrip { after });
+    let (aborted, blacklisted, output, commands) = match (naive, tiered) {
+        (Some((naive_out, naive_stats)), Some((tiered_out, tiered_stats))) => (
+            // The faulted run recorded an abort: the trip was taken.
+            tiered_stats.trace_aborts >= 1,
+            // The aborted anchor stayed blacklisted: recorded once,
+            // never re-recorded after the abort.
+            tiered_stats.traces_recorded == 1,
+            tiered_out == naive_out,
+            tiered_stats.commands == naive_stats.commands,
+        ),
+        _ => (false, false, false, false),
+    };
+    ChaosVerdict {
         seed,
         lane,
-        guard_trip_after: after,
-        trace_aborted: false,
-        blacklisted: false,
-        output_identical: false,
-        commands_identical: false,
-    };
-    let Some((naive_out, naive_stats)) =
-        tiered_probe(DispatchStrategy::Naive, DispatchFault::None)
-    else {
-        return failed;
-    };
-    let Some((tiered_out, tiered_stats)) = tiered_probe(
-        DispatchStrategy::Tiered,
-        DispatchFault::TraceGuardTrip { after },
-    ) else {
-        return failed;
-    };
-    TieredChaosOutcome {
-        seed,
-        lane,
-        guard_trip_after: after,
-        trace_aborted: tiered_stats.trace_aborts >= 1,
-        blacklisted: tiered_stats.traces_recorded == 1,
-        output_identical: tiered_out == naive_out,
-        commands_identical: tiered_stats.commands == naive_stats.commands,
-    }
-}
-
-/// One line per tiered round, shape-stable with the other renders.
-pub fn render_tiered_chaos(outcome: &TieredChaosOutcome) -> String {
-    format!(
-        "journal-chaos seed {}: lane {} -> trip guard #{}: aborted={} blacklisted={} output-identical={} commands-identical={} [{}]",
-        outcome.seed,
-        outcome.lane.label(),
-        outcome.guard_trip_after,
-        outcome.trace_aborted,
-        outcome.blacklisted,
-        outcome.output_identical,
-        outcome.commands_identical,
-        if outcome.passed() { "ok" } else { "FAIL" },
-    )
-}
-
-/// Grade one resumed run against the corruption oracle.
-fn grade_outcome(
-    plan: &Plan,
-    seed: u64,
-    corruption: JournalCorruption,
-    executed: &ExecutedPlan,
-    report: &ResumeReport,
-    path: &Path,
-    baseline: &BTreeMap<RunRequest, u64>,
-) -> JournalChaosOutcome {
-    let detected = report
-        .defects
-        .iter()
-        .any(|d| d.kind == corruption.expected_kind);
-    let classified = report
-        .defects
-        .iter()
-        .all(|d| d.kind == corruption.expected_kind);
-    let resumed = content_hashes(plan, executed);
-    let store_intact = resumed == *baseline;
-    let journal_healed = match std::fs::read(path) {
-        Ok(bytes) => {
-            let reloaded = journal::load_bytes(&bytes, crate::fingerprint::current_epoch());
-            reloaded.defects.is_empty()
-                && plan
-                    .requests()
-                    .iter()
-                    .all(|r| reloaded.records.contains_key(&r.fingerprint()))
-        }
-        Err(_) => false,
-    };
-    JournalChaosOutcome {
-        seed,
-        corruption,
-        detected,
-        classified,
-        requeued: report.executed,
-        store_intact,
-        journal_healed,
+        context: format!("trip guard #{after}"),
+        checks: vec![
+            ("aborted", aborted),
+            ("blacklisted", blacklisted),
+            ("output-identical", output),
+            ("commands-identical", commands),
+        ],
     }
 }
 
@@ -1629,33 +1279,6 @@ fn content_hashes(plan: &Plan, executed: &ExecutedPlan) -> BTreeMap<RunRequest, 
             (*request, hash)
         })
         .collect()
-}
-
-/// One line per journal-chaos round, stable across job counts:
-/// the seed, the lane, the oracle, and the verdict.
-pub fn render_journal_chaos(outcome: &JournalChaosOutcome) -> String {
-    format!(
-        "journal-chaos seed {}: lane {} -> expect {} ({} requeued): detected={} classified={} requeued={} store-intact={} healed={} [{}]",
-        outcome.seed,
-        outcome.corruption.lane.label(),
-        outcome.corruption.expected_kind.label(),
-        outcome.corruption.expected_requeued,
-        outcome.detected,
-        outcome.classified,
-        outcome.requeued,
-        outcome.store_intact,
-        outcome.journal_healed,
-        if outcome.passed() { "ok" } else { "FAIL" },
-    )
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in s.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -1727,18 +1350,10 @@ mod tests {
         // runs in-process).
         for seed in [12u64, 28, 44] {
             assert_eq!(journal_lane(seed), JournalChaosLane::TieredGuardTrip);
-            let outcome = tiered_chaos_seed(seed, JournalChaosLane::TieredGuardTrip);
-            assert!(
-                outcome.passed(),
-                "seed {seed}: {}",
-                render_tiered_chaos(&outcome)
-            );
+            let verdict = tiered_chaos_seed(seed, JournalChaosLane::TieredGuardTrip);
+            assert!(verdict.passed(), "seed {seed}: {}", verdict.render());
             let again = tiered_chaos_seed(seed, JournalChaosLane::TieredGuardTrip);
-            assert_eq!(
-                render_tiered_chaos(&outcome),
-                render_tiered_chaos(&again),
-                "seed {seed}: tiered round not deterministic"
-            );
+            assert_eq!(verdict, again, "seed {seed}: tiered round not deterministic");
         }
     }
 

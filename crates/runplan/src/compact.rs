@@ -10,10 +10,7 @@
 //! check): the canonical re-encoding is byte-compared against the file
 //! and, when identical, nothing is rewritten.
 
-use crate::journal::{
-    encode_image, io_err, lock_err, publish_bytes, JournalDefect, JournalError,
-    JOURNAL_FILE,
-};
+use crate::journal::{encode_image, io_err, lock_err, JournalDefect, JournalError, JOURNAL_FILE};
 use crate::lock::{self, fresh_token, sweep_lock_debris, Claims, LockConfig, Sessions};
 use std::path::Path;
 use std::time::Duration;
@@ -144,7 +141,7 @@ pub fn compact_with(
     let image = encode_image(&loaded.records, epoch);
     let rewritten = image != bytes;
     if rewritten {
-        publish_bytes(&path, &image)?;
+        crate::atomic::replace(&path, &image)?;
     }
     Ok(CompactReport {
         records: loaded.records.len(),

@@ -60,21 +60,6 @@ pub fn try_run_request(
     }
 }
 
-/// Execute one request and return its memoizable artifact.
-///
-/// # Panics
-///
-/// Panics exactly where the underlying runner does (unknown names,
-/// failed self-checks) — the planner only emits registry-valid requests.
-/// Use [`try_run_request`] for the supervised, panic-free boundary.
-// The panic is the documented contract of this legacy entry point; the
-// supervised pool goes through `try_run_request` instead.
-#[allow(clippy::panic)]
-pub fn run_request(request: &RunRequest) -> RunArtifact {
-    try_run_request(request, Limits::unlimited())
-        .unwrap_or_else(|e| panic!("planned run `{request}` failed: {e}"))
-}
-
 /// Fold a pipeline report into the sink-independent summary, preserving
 /// the model's stall stacking order.
 fn cycle_summary(report: &PipelineReport) -> CycleSummary {
@@ -99,6 +84,10 @@ mod tests {
 
     fn des() -> WorkloadId {
         WorkloadId::macro_bench(Language::Mipsi, "des", Scale::Test)
+    }
+
+    fn run_request(request: &RunRequest) -> RunArtifact {
+        try_run_request(request, Limits::unlimited()).expect("planned run")
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Serve-fleet membership: the registry that lets N `repro serve`
 //! daemons share one cache.
 //!
-//! PR 8's daemon held a single `serve/daemon.pid` lease — one daemon
-//! per cache, a single point of failure. The fleet registry replaces
-//! that lease with one *member file* per daemon under `serve/fleet/`,
-//! published with the same fsynced-temp + atomic hard-link idiom as the
-//! journal lock, so membership is crash-visible state on the shared
-//! filesystem:
+//! Each daemon publishes one *member file* under `serve/fleet/` with
+//! the same fsynced-temp + atomic hard-link idiom as the journal lock
+//! ([`crate::atomic::create_new`]), so membership is crash-visible
+//! state on the shared filesystem, and the registry is the only record
+//! of who is serving:
 //!
 //! ```text
 //! serve/fleet/<token>       pid <pid> / token <token>   (hard-linked)
@@ -27,7 +26,6 @@
 
 use crate::journal::{io_err, JournalError};
 use crate::lock::{fresh_token, holder_pid, holder_token, parse_field, pid_alive};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,7 +69,7 @@ pub struct FleetMembership {
 
 impl FleetMembership {
     /// Register this process as a fleet member of `cache_dir`: publish
-    /// the member file (fsynced temp, atomic hard link — the same
+    /// the member file ([`crate::atomic::create_new`], the same
     /// no-overwrite idiom as the journal lock) and create the member's
     /// work directory.
     pub fn register(cache_dir: &Path) -> Result<FleetMembership, JournalError> {
@@ -80,30 +78,17 @@ impl FleetMembership {
         loop {
             let token = fresh_token();
             let member_path = fleet_dir.join(&token);
-            let tmp = fleet_dir.join(format!(".tmp-{token}"));
-            {
-                let mut f =
-                    std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, "write", e))?;
-                f.write_all(format!("pid {}\ntoken {token}\n", std::process::id()).as_bytes())
-                    .map_err(|e| io_err(&tmp, "write", e))?;
-                f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
+            let content = format!("pid {}\ntoken {token}\n", std::process::id());
+            // A token collision is all but impossible (pid + counter +
+            // clock), but losing the race is not an error: take a fresh
+            // identity and re-link.
+            if !crate::atomic::create_new(&member_path, content.as_bytes())? {
+                continue;
             }
-            let linked = std::fs::hard_link(&tmp, &member_path);
-            let _ = std::fs::remove_file(&tmp);
-            match linked {
-                Ok(()) => {
-                    let work_dir = cache_dir.join(crate::serve::WORK_DIR).join(&token);
-                    std::fs::create_dir_all(&work_dir)
-                        .map_err(|e| io_err(&work_dir, "create-dir", e))?;
-                    let hb_path = fleet_dir.join(format!("{token}.hb"));
-                    return Ok(FleetMembership { token, work_dir, member_path, hb_path });
-                }
-                // A token collision is all but impossible (pid +
-                // counter + clock), but losing the race is not an
-                // error: take a fresh identity and re-link.
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(io_err(&member_path, "write", e)),
-            }
+            let work_dir = cache_dir.join(crate::serve::WORK_DIR).join(&token);
+            std::fs::create_dir_all(&work_dir).map_err(|e| io_err(&work_dir, "create-dir", e))?;
+            let hb_path = fleet_dir.join(format!("{token}.hb"));
+            return Ok(FleetMembership { token, work_dir, member_path, hb_path });
         }
     }
 
@@ -376,7 +361,7 @@ pub fn sweep_dead_members(
 }
 
 /// The first live member of `cache_dir`'s fleet, if any — what
-/// `--exclusive` startup and `serve --stop` drain-waiting check.
+/// `serve --stop` drain-waiting and the last-member-out check use.
 pub fn live_member(cache_dir: &Path) -> Option<FleetMemberInfo> {
     fleet_members(cache_dir).into_iter().find(|m| m.pid_live)
 }

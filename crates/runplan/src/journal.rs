@@ -89,7 +89,6 @@ use crate::supervise::{RunFailure, SuperviseConfig};
 use interp_core::serial::{fnv1a, ByteReader, ByteWriter};
 use interp_core::{RunArtifact, RunRequest};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -529,38 +528,6 @@ pub fn load_file(path: &Path, epoch: u64) -> Result<LoadedJournal, JournalError>
     }
 }
 
-/// Atomically publish `bytes` as the file at `path`: write a temp file
-/// in the same directory, fsync it, rename it over the target, and
-/// best-effort fsync the directory. Shared by the journal writer,
-/// compaction, and the serve protocol files. The temp name is unique
-/// per process and call (pid + counter), so two processes publishing
-/// the same target — e.g. fleet members racing over a re-adopted
-/// request's response — can interleave freely: each rename lands one
-/// writer's complete bytes, never a blend.
-pub(crate) fn publish_bytes(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
-    static PUBLISH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = PUBLISH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!(
-        "journal.{}-{seq}.tmp",
-        std::process::id()
-    ));
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, "write", e))?;
-        f.write_all(bytes).map_err(|e| io_err(&tmp, "write", e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))?;
-    // Best-effort directory fsync so the rename itself is durable;
-    // not all filesystems support it, and the rename's atomicity
-    // does not depend on it.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 /// The crash-consistent, lock-coordinated journal writer: holds the
 /// record set in memory and republishes the canonical image atomically
 /// (write temp → fsync → rename) on every append, with the advisory
@@ -702,7 +669,7 @@ impl JournalWriter {
 
     /// Publish the canonical image of the in-memory record set.
     fn persist(&self) -> Result<(), JournalError> {
-        publish_bytes(&self.path, &encode_image(&self.records, self.epoch))
+        crate::atomic::replace(&self.path, &encode_image(&self.records, self.epoch))
     }
 }
 

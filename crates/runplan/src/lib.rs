@@ -37,7 +37,8 @@
 //!
 //! Persistence: the [`journal`] module makes executions crash-safe.
 //! Every completed artifact is appended to a checksummed on-disk journal
-//! (atomic write-temp → fsync → rename), keyed by a stable
+//! (atomic write-temp → fsync → rename, the one publication path every
+//! shared file takes), keyed by a stable
 //! [`RunRequest::fingerprint`] plus the code/config epoch
 //! ([`fingerprint`]); a resumed plan serves journaled runs from disk and
 //! executes only the residue, while any corruption — torn tail, bit
@@ -56,6 +57,7 @@
 //! its canonical image under the same lock, and [`status`] snapshots a
 //! cache (records, defects, lock holder, writers, claims) read-only.
 
+mod atomic;
 pub mod chaos;
 pub mod compact;
 pub mod exec;
@@ -72,7 +74,7 @@ pub mod supervise;
 
 pub use chaos::{chaos_execute, render_chaos_summary, with_quiet_injected_panics, ChaosLane};
 pub use compact::{compact, compact_with, CompactReport};
-pub use exec::{run_request, try_run_request};
+pub use exec::try_run_request;
 pub use fleet::{
     fleet_members, live_member, sweep_dead_members, FleetMemberInfo, FleetMembership,
     DEFAULT_MEMBER_STALE, FLEET_DIR,
@@ -89,7 +91,7 @@ pub use lock::{
 };
 pub use serve::{
     deadline_in, parse_request, parse_response, request_stop, serve, serve_status, submit,
-    wait, withdraw_stop, PlanService, Reject, RejectKind, ServeAccounting, ServeConfig, ServeError,
+    wait, withdraw_stop, PlanService, Reject, RejectKind, ServeAccounting, ServeConfig,
     ServeOutcome, ServeReport, ServeRequest, ServeResponse, ServeStatus, WaitOutcome,
     DEFAULT_SERVE_POLL, DEFAULT_SERVE_QUEUE,
 };

@@ -6,9 +6,10 @@
 //!
 //! The lock is a file (`journal.lock`) whose *existence* is the lock and
 //! whose content names the holder (`pid`, session `token`, `epoch`).
-//! Acquisition is write-temp + atomic publish: the content is written to
-//! a per-session temp file first, then `hard_link`ed to the lock path —
-//! link creation is atomic and fails if the lock exists, and because the
+//! Acquisition is write-temp + atomic publish
+//! ([`crate::atomic::create_new`]): the content is written to a temp
+//! file first, then `hard_link`ed to the lock path — link creation is
+//! atomic and fails if the lock exists, and because the
 //! content is in place *before* the link, no other process can ever
 //! observe a half-written lock file.
 //!
@@ -38,7 +39,6 @@
 //! files suffice.
 
 use std::fmt;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -249,51 +249,33 @@ pub fn acquire(config: &LockConfig) -> Result<LockGuard, LockError> {
 /// live holder has it (caller waits and retries), `Err` on I/O failure.
 /// A dead holder is stolen here; the caller retries either way.
 fn try_acquire(config: &LockConfig) -> Result<Option<LockGuard>, LockError> {
-    let tmp = temp_path(config);
-    {
-        let mut f =
-            std::fs::File::create(&tmp).map_err(|e| io_lock_err(&tmp, e))?;
-        let content = format!(
-            "pid {}\ntoken {}\nepoch {:016x}\n",
-            std::process::id(),
-            config.token,
-            config.epoch
-        );
-        f.write_all(content.as_bytes())
-            .map_err(|e| io_lock_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_lock_err(&tmp, e))?;
-    }
-    // Atomic publish: link only succeeds if no lock exists, and the
+    let content = format!(
+        "pid {}\ntoken {}\nepoch {:016x}\n",
+        std::process::id(),
+        config.token,
+        config.epoch
+    );
+    // Atomic publish: the link only succeeds if no lock exists, and the
     // linked content is already durable — no observable half-state.
-    let linked = std::fs::hard_link(&tmp, &config.path);
-    let _ = std::fs::remove_file(&tmp);
-    match linked {
-        Ok(()) => Ok(Some(LockGuard {
+    let created = crate::atomic::create_new(&config.path, content.as_bytes())
+        .map_err(|e| io_lock_err(&e.path, e.detail))?;
+    if created {
+        return Ok(Some(LockGuard {
             path: config.path.clone(),
             token: config.token.clone(),
             released: false,
-        })),
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-            let content = std::fs::read_to_string(&config.path).unwrap_or_default();
-            match holder_pid(&content) {
-                Some(pid) if pid_alive(pid) => Ok(None),
-                // Dead or unparseable holder: steal, then retry the
-                // normal path (someone else may beat us to the link).
-                _ => {
-                    steal(&config.path);
-                    Ok(None)
-                }
-            }
-        }
-        Err(e) => Err(io_lock_err(&config.path, e)),
+        }));
     }
-}
-
-/// Per-session temp file used for atomic lock publication.
-fn temp_path(config: &LockConfig) -> PathBuf {
-    config
-        .path
-        .with_file_name(format!("{LOCK_FILE}.tmp-{}", config.token))
+    let content = std::fs::read_to_string(&config.path).unwrap_or_default();
+    match holder_pid(&content) {
+        Some(pid) if pid_alive(pid) => Ok(None),
+        // Dead or unparseable holder: steal, then retry the normal
+        // path (someone else may beat us to the link).
+        _ => {
+            steal(&config.path);
+            Ok(None)
+        }
+    }
 }
 
 /// Atomically retire a stale lock: rename it to a per-stealer grave name
@@ -319,7 +301,11 @@ pub fn sweep_lock_debris(dir: &Path) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
+        // Temp files are hidden (`.journal.lock.tmp-…`, see
+        // `crate::atomic`); graves are not.
         let is_debris = name
+            .strip_prefix('.')
+            .unwrap_or(name)
             .strip_prefix(LOCK_FILE)
             .is_some_and(|rest| rest.starts_with(".tmp-") || rest.starts_with(".stale-"));
         if !is_debris {

@@ -11,12 +11,11 @@
 //! whose body is byte-identical to what the batch CLI would print for
 //! the same targets.
 //!
-//! Since the fleet refactor, *N* daemons share one cache: each
-//! registers in the [`crate::fleet`] member registry, claims requests
-//! by atomic rename into its private work directory, and sweeps dead
-//! members' orphaned work back to the inbox. One daemon is simply a
-//! fleet of one. `--exclusive` restores the PR 8 single-daemon refusal
-//! for callers that want exactly one.
+//! *N* daemons share one cache as a fleet: each registers in the
+//! [`crate::fleet`] member registry, claims requests by atomic rename
+//! into its private work directory, and sweeps dead members' orphaned
+//! work back to the inbox. One daemon is simply a fleet of one, and
+//! the registry is the only record of who is serving.
 //!
 //! # Protocol files
 //!
@@ -33,8 +32,8 @@
 //! end
 //! ```
 //!
-//! Version 1 requests (no `priority`/`deadline-ms`) are still parsed.
-//! The `end` trailer is the torn-write detector: a client that crashed
+//! Any other version line — the retired version 1 included — is a typed
+//! [`RejectKind::BadVersion`] rejection. The `end` trailer is the torn-write detector: a client that crashed
 //! (or wrote non-atomically) leaves a file without it, which the daemon
 //! classifies as a typed [`RejectKind::Torn`] rejection. A *response*
 //! is `serve/outbox/<id>.resp`, also atomically published:
@@ -77,8 +76,10 @@
 //!   `repro serve --stop`) makes every fleet member finish its requests
 //!   in flight, flush its responses, deregister, and exit 0; the last
 //!   member out consumes the marker. A marker left behind by a dead
-//!   fleet (no live members) is cleared at the next daemon's startup,
-//!   so a stop aimed at a crashed daemon can never kill a fresh one.
+//!   fleet (no other live member, and dated before the starting
+//!   daemon registered) is cleared at that daemon's startup, so a stop
+//!   aimed at a crashed daemon can never kill a fresh one — while a
+//!   stop written after registration still drains it.
 //! * **Contention**: a journal advisory-lock timeout while executing
 //!   one request (fleet peers and concurrent batch runs compete for the
 //!   shared journal) requeues that request's claim back to the inbox
@@ -87,9 +88,10 @@
 //! * **Liveness**: every member publishes `serve/fleet/<token>`, and a
 //!   background thread rewrites its per-member heartbeat on a fixed
 //!   interval — execution time never counts as staleness, however long
-//!   a batch runs. The scan loop still rewrites the legacy aggregate
-//!   `serve/heartbeat`; `repro status` reports both read-only via
-//!   [`serve_status`] as a fleet table. A member whose registration was
+//!   a batch runs. The scan loop also rewrites the aggregate
+//!   `serve/heartbeat` every scan; its first write marks the scan loop
+//!   as started. `repro status` reports the fleet read-only via
+//!   [`serve_status`] as a per-member table. A member whose registration was
 //!   nonetheless retired by a peer detects the loss at its next scan
 //!   and re-registers under a fresh token instead of spinning as a
 //!   zombie whose claim renames all fail.
@@ -104,10 +106,9 @@
 
 use crate::fleet::{self, unix_ms, FleetMemberInfo, FleetMembership};
 use crate::journal::{
-    execute_journaled, io_err, publish_bytes, JournalConfig, JournalError, JournalErrorKind,
-    ResumeReport,
+    execute_journaled, io_err, JournalConfig, JournalError, JournalErrorKind, ResumeReport,
 };
-use crate::lock::{holder_pid, pid_alive};
+use crate::lock::parse_field;
 use crate::plan::Plan;
 use crate::pool::ExecutedPlan;
 use crate::supervise::{backoff_delay, SuperviseConfig};
@@ -122,24 +123,18 @@ pub const SERVE_DIR: &str = "serve";
 pub const INBOX_DIR: &str = "serve/inbox";
 /// Directory the daemons publish responses into.
 pub const OUTBOX_DIR: &str = "serve/outbox";
-/// Claimed-but-unfinished requests (one subdirectory per fleet member;
-/// top-level files are pre-fleet debris, recovered at startup).
+/// Claimed-but-unfinished requests, one subdirectory per fleet member.
 pub const WORK_DIR: &str = "serve/work";
-/// The pre-fleet single-daemon pid lease. No longer written; a live
-/// holder still refuses fleet startup (an old-style daemon cannot
-/// coordinate), and a dead one is swept as debris.
-pub const DAEMON_FILE: &str = "serve/daemon.pid";
-/// The legacy aggregate liveness heartbeat, still rewritten every scan
-/// by every member (the per-member truth lives in `serve/fleet/`).
+/// The aggregate heartbeat, rewritten every scan by every member. Its
+/// first write marks a daemon's scan loop as started (the per-member
+/// liveness truth lives in `serve/fleet/`).
 pub const HEARTBEAT_FILE: &str = "serve/heartbeat";
 /// Stop request marker (`repro serve --stop`).
 pub const STOP_FILE: &str = "serve/stop";
 
-/// First line of a version-1 request file (still accepted).
-pub const REQUEST_VERSION_LINE: &str = "repro-serve-request/1";
-/// First line of a version-2 request file (what [`encode_request`]
-/// writes): adds the optional `priority` and `deadline-ms` fields.
-pub const REQUEST_VERSION_LINE_V2: &str = "repro-serve-request/2";
+/// First line of every request file. Version 2 added the optional
+/// `priority` and `deadline-ms` fields; version 1 is a `bad-version`.
+pub const REQUEST_VERSION_LINE: &str = "repro-serve-request/2";
 /// First line of every response file.
 pub const RESPONSE_VERSION_LINE: &str = "repro-serve-response/1";
 
@@ -283,12 +278,10 @@ pub fn valid_id(id: &str) -> bool {
 }
 
 /// Encode a request into its wire form (version line … `end` trailer).
-/// Always writes version 2; the optional fields are elided at their
-/// defaults, so a default request is a version-1 body under a
-/// version-2 header.
+/// The optional fields are elided at their defaults.
 pub fn encode_request(request: &ServeRequest) -> String {
     let mut out = String::new();
-    out.push_str(REQUEST_VERSION_LINE_V2);
+    out.push_str(REQUEST_VERSION_LINE);
     out.push('\n');
     out.push_str("targets ");
     out.push_str(&request.targets.join(","));
@@ -311,8 +304,7 @@ pub fn encode_request(request: &ServeRequest) -> String {
     out
 }
 
-/// Strictly parse request `bytes` (file stem `id`). Accepts version 1
-/// and version 2. Every malformation is a typed [`Reject`] — this
+/// Strictly parse request `bytes` (file stem `id`). Every malformation is a typed [`Reject`] — this
 /// function never panics and never guesses.
 pub fn parse_request(bytes: &[u8], id: &str) -> Result<ServeRequest, Reject> {
     if bytes.is_empty() {
@@ -326,11 +318,11 @@ pub fn parse_request(bytes: &[u8], id: &str) -> Result<ServeRequest, Reject> {
     };
     let lines: Vec<&str> = text.lines().map(str::trim_end).collect();
     match lines.first() {
-        Some(&REQUEST_VERSION_LINE) | Some(&REQUEST_VERSION_LINE_V2) => {}
+        Some(&REQUEST_VERSION_LINE) => {}
         Some(other) => {
             return Err(Reject::new(
                 RejectKind::BadVersion,
-                format!("first line `{other}`, expected `{REQUEST_VERSION_LINE_V2}`"),
+                format!("first line `{other}`, expected `{REQUEST_VERSION_LINE}`"),
             ))
         }
         None => return Err(Reject::new(RejectKind::Torn, "empty request file")),
@@ -673,11 +665,8 @@ pub struct ServeConfig {
     /// Worker threads per request execution.
     pub jobs: usize,
     /// Admitted requests executed concurrently per scan
-    /// (`--serve-jobs`): 1 preserves the PR 8 sequential daemon.
+    /// (`--serve-jobs`): 1 is the sequential daemon.
     pub serve_jobs: usize,
-    /// Refuse to start if another live fleet member is already serving
-    /// this cache (the PR 8 single-daemon behavior, now opt-in).
-    pub exclusive: bool,
     /// How stale a live member's heartbeat may grow before the fleet
     /// treats it as dead and re-adopts its claimed work.
     pub member_stale_after: Duration,
@@ -704,47 +693,12 @@ impl ServeConfig {
             max_requests: None,
             jobs: crate::pool::default_jobs(),
             serve_jobs: 1,
-            exclusive: false,
             member_stale_after: fleet::DEFAULT_MEMBER_STALE,
             request_retries: 2,
             supervise: SuperviseConfig::default(),
             lock_timeout: crate::lock::DEFAULT_LOCK_TIMEOUT,
             crash_after: None,
         }
-    }
-}
-
-/// Why the daemon could not run (request-level problems are responses,
-/// not errors).
-#[derive(Debug)]
-pub enum ServeError {
-    /// Another live daemon already serves this cache: a pre-fleet
-    /// daemon holds the legacy pid lease, or (under `--exclusive`) a
-    /// live fleet member is registered.
-    AlreadyRunning {
-        /// The live daemon's PID.
-        pid: u32,
-    },
-    /// A journal or filesystem operation failed.
-    Journal(JournalError),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::AlreadyRunning { pid } => {
-                write!(f, "serve daemon already running (pid {pid})")
-            }
-            ServeError::Journal(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<JournalError> for ServeError {
-    fn from(e: JournalError) -> ServeError {
-        ServeError::Journal(e)
     }
 }
 
@@ -793,7 +747,6 @@ struct ServeDirs {
     inbox: PathBuf,
     outbox: PathBuf,
     work: PathBuf,
-    daemon: PathBuf,
     heartbeat: PathBuf,
     stop: PathBuf,
 }
@@ -804,7 +757,6 @@ impl ServeDirs {
             inbox: cache_dir.join(INBOX_DIR),
             outbox: cache_dir.join(OUTBOX_DIR),
             work: cache_dir.join(WORK_DIR),
-            daemon: cache_dir.join(DAEMON_FILE),
             heartbeat: cache_dir.join(HEARTBEAT_FILE),
             stop: cache_dir.join(STOP_FILE),
         }
@@ -819,7 +771,7 @@ impl ServeDirs {
     }
 }
 
-/// Rewrite the legacy aggregate heartbeat file (best-effort: a failed
+/// Rewrite the aggregate heartbeat file (best-effort: a failed
 /// heartbeat must not kill the daemon).
 fn write_heartbeat(dirs: &ServeDirs, tick: u64) {
     let _ = std::fs::write(
@@ -846,24 +798,9 @@ fn scan_requests(dir: &Path) -> Vec<(String, PathBuf)> {
     out
 }
 
-/// Move every claimed-but-unfinished request a pre-fleet daemon left
-/// directly in `work/` back to the inbox for re-service. (Fleet
-/// members' orphans live in per-member subdirectories and are swept by
-/// [`fleet::sweep_dead_members`] instead.)
-fn recover_orphans(dirs: &ServeDirs) -> usize {
-    let orphans = scan_requests(&dirs.work);
-    let mut recovered = 0;
-    for (id, path) in orphans {
-        if std::fs::rename(&path, dirs.inbox.join(format!("{id}.req"))).is_ok() {
-            recovered += 1;
-        }
-    }
-    recovered
-}
-
 /// Atomically publish `response` into the outbox.
 fn publish_response(dirs: &ServeDirs, response: &ServeResponse) -> Result<(), JournalError> {
-    publish_bytes(
+    crate::atomic::replace(
         &dirs.outbox.join(format!("{}.resp", response.id)),
         &encode_response(response),
     )
@@ -932,7 +869,7 @@ fn process_request(
     id: &str,
     path: &Path,
     parsed: &Result<ServeRequest, Reject>,
-) -> Result<ProcessOutcome, ServeError> {
+) -> Result<ProcessOutcome, JournalError> {
     note_progress(dirs, id, "admitted");
     let outcome = match parsed {
         Err(reject) => ServeOutcome::Rejected(reject.clone()),
@@ -969,7 +906,7 @@ fn process_request(
                         note_progress(dirs, id, "requeued");
                         return Ok(ProcessOutcome::Requeued);
                     }
-                    Err(e) => return Err(e.into()),
+                    Err(e) => return Err(e),
                 }
             }
         },
@@ -979,6 +916,29 @@ fn process_request(
     let _ = std::fs::remove_file(path);
     note_progress(dirs, id, if served { "done" } else { "rejected" });
     Ok(if served { ProcessOutcome::Served } else { ProcessOutcome::Rejected })
+}
+
+/// Clear a stop marker left behind by a dead (or already-drained)
+/// fleet, so it cannot drain a freshly started daemon. The marker is
+/// stale only if no *other* live member is behind it (with one, it is
+/// a fleet-wide drain in progress, which a member joining mid-drain
+/// honors) and it was written before this member registered at
+/// `registered_ms` (a stop written since is aimed at this daemon). An
+/// unparseable marker counts as old.
+fn sweep_stale_stop(dirs: &ServeDirs, cache_dir: &Path, token: &str, registered_ms: u128) {
+    let Ok(content) = std::fs::read_to_string(&dirs.stop) else {
+        return;
+    };
+    let written_ms = parse_field(&content, "unix_ms").and_then(|v| v.parse::<u128>().ok());
+    if written_ms.is_some_and(|ms| ms >= registered_ms) {
+        return;
+    }
+    let other_live = fleet::fleet_members(cache_dir)
+        .iter()
+        .any(|m| m.pid_live && m.token != token);
+    if !other_live {
+        let _ = std::fs::remove_file(&dirs.stop);
+    }
 }
 
 /// One scanned inbox entry, read and parsed before admission so
@@ -992,39 +952,12 @@ struct ScannedRequest {
 /// Run a serve daemon as a fleet member until a stop request (or
 /// [`ServeConfig::max_requests`] responses). See the module docs for
 /// the full robustness contract.
-pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeReport, ServeError> {
+pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeReport, JournalError> {
     let dirs = ServeDirs::create(&config.cache_dir)?;
-    // A pre-fleet daemon cannot coordinate through the member
-    // registry: a live legacy lease refuses startup, a dead one is
-    // debris and is swept.
-    if let Ok(content) = std::fs::read_to_string(&dirs.daemon) {
-        match holder_pid(&content) {
-            Some(pid) if pid_alive(pid) => return Err(ServeError::AlreadyRunning { pid }),
-            _ => {
-                let _ = std::fs::remove_file(&dirs.daemon);
-            }
-        }
-    }
-    if config.exclusive {
-        if let Some(member) = fleet::live_member(&config.cache_dir) {
-            return Err(ServeError::AlreadyRunning { pid: member.pid });
-        }
-    }
+    let registered_ms = unix_ms();
     let mut membership = FleetMembership::register(&config.cache_dir)?;
-    // A stop marker with no *other* live member behind it was left by a
-    // dead (or already-drained) fleet — stale, and it must not drain a
-    // freshly started daemon. With live members it is a fleet-wide
-    // drain in progress, which a member joining mid-drain honors.
-    if dirs.stop.exists() {
-        let other_live = fleet::fleet_members(&config.cache_dir)
-            .iter()
-            .any(|m| m.pid_live && m.token != membership.token);
-        if !other_live {
-            let _ = std::fs::remove_file(&dirs.stop);
-        }
-    }
+    sweep_stale_stop(&dirs, &config.cache_dir, &membership.token, registered_ms);
     let mut report = ServeReport::default();
-    report.adopted += recover_orphans(&dirs);
     // Heartbeat from a background thread: execution time never counts
     // as staleness, however long an admitted batch runs.
     let mut pulse = membership.spawn_pulse(config.member_stale_after);
@@ -1170,7 +1103,7 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
 pub fn submit(cache_dir: &Path, request: &ServeRequest) -> Result<PathBuf, JournalError> {
     let dirs = ServeDirs::create(cache_dir)?;
     let path = dirs.inbox.join(format!("{}.req", request.id));
-    publish_bytes(&path, encode_request(request).as_bytes())?;
+    crate::atomic::replace(&path, encode_request(request).as_bytes())?;
     Ok(path)
 }
 
@@ -1241,48 +1174,19 @@ pub fn wait(
 /// `serve:` section of `repro status`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStatus {
-    /// A serving pid: the legacy lease holder if one is on file,
-    /// otherwise the first live fleet member.
-    pub daemon_pid: Option<u32>,
-    /// Whether any serving pid (legacy or fleet) is currently alive.
-    pub daemon_live: bool,
-    /// Age of the last aggregate heartbeat in milliseconds, if on file.
-    pub heartbeat_age_ms: Option<u128>,
     /// Every registered fleet member, token order.
     pub members: Vec<FleetMemberInfo>,
     /// Pending requests in the inbox.
     pub inbox: usize,
     /// Responses (and progress markers aside) in the outbox.
     pub outbox: usize,
-    /// Claimed-but-unfinished requests across every work dir.
+    /// Claimed-but-unfinished requests across every member's work dir.
     pub in_flight: usize,
 }
 
 /// Snapshot the serve state in `cache_dir` without locking or writing.
 pub fn serve_status(cache_dir: &Path) -> ServeStatus {
     let dirs = ServeDirs::of(cache_dir);
-    let members = fleet::fleet_members(cache_dir);
-    let (legacy_pid, legacy_live) = match std::fs::read_to_string(&dirs.daemon) {
-        Ok(content) => match holder_pid(&content) {
-            Some(pid) => (Some(pid), pid_alive(pid)),
-            None => (Some(0), false),
-        },
-        Err(_) => (None, false),
-    };
-    let fleet_live = members.iter().find(|m| m.pid_live);
-    let daemon_pid = legacy_pid
-        .or(fleet_live.map(|m| m.pid))
-        .or(members.first().map(|m| m.pid));
-    let daemon_live = legacy_live || fleet_live.is_some();
-    let heartbeat_age_ms = std::fs::read_to_string(&dirs.heartbeat)
-        .ok()
-        .and_then(|content| {
-            content.lines().find_map(|line| {
-                line.strip_prefix("unix_ms ")
-                    .and_then(|v| v.trim().parse::<u128>().ok())
-            })
-        })
-        .map(|then| unix_ms().saturating_sub(then));
     let count = |dir: &Path, suffix: &str| -> usize {
         std::fs::read_dir(dir).map_or(0, |entries| {
             entries
@@ -1295,8 +1199,7 @@ pub fn serve_status(cache_dir: &Path) -> ServeStatus {
                 .count()
         })
     };
-    // In flight = pre-fleet top-level claims + every member subdir.
-    let mut in_flight = count(&dirs.work, ".req");
+    let mut in_flight = 0;
     if let Ok(entries) = std::fs::read_dir(&dirs.work) {
         for entry in entries.flatten() {
             if entry.path().is_dir() {
@@ -1305,45 +1208,25 @@ pub fn serve_status(cache_dir: &Path) -> ServeStatus {
         }
     }
     ServeStatus {
-        daemon_pid,
-        daemon_live,
-        heartbeat_age_ms,
-        members,
+        members: fleet::fleet_members(cache_dir),
         inbox: count(&dirs.inbox, ".req"),
         outbox: count(&dirs.outbox, ".resp"),
         in_flight,
     }
 }
 
-/// Render the `serve:` status section: the one-line legacy form when
-/// no fleet members are registered, or the per-member fleet table.
+/// Render the `serve:` status section: the fleet summary line, then
+/// one line per registered member.
 pub fn render_serve_status(status: &ServeStatus) -> String {
-    if status.members.is_empty() {
-        let daemon = match status.daemon_pid {
-            None => "no daemon".to_string(),
-            Some(pid) => {
-                let heartbeat = match status.heartbeat_age_ms {
-                    Some(age) => format!(", heartbeat {:.1}s ago", age as f64 / 1000.0),
-                    None => ", no heartbeat".to_string(),
-                };
-                format!(
-                    "daemon pid {pid} ({}{heartbeat})",
-                    if status.daemon_live { "alive" } else { "dead — stale lease" }
-                )
-            }
-        };
-        return format!(
-            "  serve: {daemon}, inbox {} request(s), {} in flight, outbox {} response(s)\n",
-            status.inbox, status.in_flight, status.outbox
-        );
-    }
-    let live = status.members.iter().filter(|m| m.pid_live).count();
+    let fleet = if status.members.is_empty() {
+        "no daemon".to_string()
+    } else {
+        let live = status.members.iter().filter(|m| m.pid_live).count();
+        format!("fleet of {} member(s) ({live} live)", status.members.len())
+    };
     let mut out = format!(
-        "  serve: fleet of {} member(s) ({live} live), inbox {} request(s), {} in flight, outbox {} response(s)\n",
-        status.members.len(),
-        status.inbox,
-        status.in_flight,
-        status.outbox
+        "  serve: {fleet}, inbox {} request(s), {} in flight, outbox {} response(s)\n",
+        status.inbox, status.in_flight, status.outbox
     );
     for member in &status.members {
         let heartbeat = match member.heartbeat_age_ms {
@@ -1363,8 +1246,8 @@ pub fn render_serve_status(status: &ServeStatus) -> String {
 
 /// Ask the running fleet to drain and stop: write the stop marker.
 /// Every member finishes its in-flight work and exits; the last member
-/// out removes the marker, and [`serve_status`] tells the caller when
-/// no live member remains.
+/// out removes the marker, and [`fleet::live_member`] tells the caller
+/// when no live member remains.
 pub fn request_stop(cache_dir: &Path) -> Result<(), JournalError> {
     let dirs = ServeDirs::create(cache_dir)?;
     std::fs::write(&dirs.stop, format!("stop\nunix_ms {}\n", unix_ms()))
@@ -1465,7 +1348,7 @@ mod tests {
         full.priority = -4;
         full.deadline_unix_ms = Some(1_900_000_000_000);
         let encoded = encode_request(&full);
-        assert!(encoded.starts_with(REQUEST_VERSION_LINE_V2), "{encoded}");
+        assert!(encoded.starts_with(REQUEST_VERSION_LINE), "{encoded}");
         assert!(encoded.contains("priority -4\n"), "{encoded}");
         assert!(encoded.contains("deadline-ms 1900000000000\n"), "{encoded}");
         let parsed = parse_request(encoded.as_bytes(), "r3").expect("parse");
@@ -1475,12 +1358,10 @@ mod tests {
     }
 
     #[test]
-    fn version_1_requests_still_parse() {
+    fn version_1_requests_are_a_bad_version() {
         let v1 = b"repro-serve-request/1\ntargets tiny\nscale test\nend\n";
-        let parsed = parse_request(v1, "old").expect("v1 parse");
-        assert_eq!(parsed.targets, ["tiny"]);
-        assert_eq!(parsed.priority, 0);
-        assert_eq!(parsed.deadline_unix_ms, None);
+        let reject = parse_request(v1, "old").expect_err("v1 is retired");
+        assert_eq!(reject.kind, RejectKind::BadVersion, "{reject}");
     }
 
     #[test]
@@ -1488,15 +1369,15 @@ mod tests {
         let cases: [(&[u8], RejectKind); 9] = [
             (b"", RejectKind::Torn),
             (b"hello\n", RejectKind::BadVersion),
-            (b"repro-serve-request/1\ntargets a\nscale test\n", RejectKind::Torn),
-            (b"repro-serve-request/1\ntargets a\nscale warp\nend\n", RejectKind::BadField),
-            (b"repro-serve-request/1\nscale test\nend\n", RejectKind::BadField),
+            (b"repro-serve-request/2\ntargets a\nscale test\n", RejectKind::Torn),
+            (b"repro-serve-request/2\ntargets a\nscale warp\nend\n", RejectKind::BadField),
+            (b"repro-serve-request/2\nscale test\nend\n", RejectKind::BadField),
             (
-                b"repro-serve-request/1\ntargets a\nscale test\nbogus x\nend\n",
+                b"repro-serve-request/2\ntargets a\nscale test\nbogus x\nend\n",
                 RejectKind::BadField,
             ),
             (
-                b"repro-serve-request/1\ntargets a\ntargets b\nscale test\nend\n",
+                b"repro-serve-request/2\ntargets a\ntargets b\nscale test\nend\n",
                 RejectKind::BadField,
             ),
             (
@@ -1582,8 +1463,7 @@ mod tests {
         assert_eq!(accounting.planned, 2);
         assert_eq!(accounting.executed, 2);
         assert!(!body.is_empty());
-        // Membership is retired on clean exit; no legacy lease exists.
-        assert!(!dir.join(DAEMON_FILE).exists());
+        // Membership is retired on clean exit.
         assert!(fleet::fleet_members(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1752,75 +1632,6 @@ mod tests {
     }
 
     #[test]
-    fn second_daemon_is_refused_while_the_first_lease_is_live() {
-        let dir = fresh_dir("second");
-        let dirs = ServeDirs::create(&dir).expect("dirs");
-        // A live pre-fleet daemon: the legacy lease names our own
-        // (alive) pid. It cannot coordinate through the registry, so
-        // fleet startup refuses.
-        std::fs::write(
-            &dirs.daemon,
-            format!("pid {}\ntoken other\n", std::process::id()),
-        )
-        .expect("plant");
-        match serve(&fast_config(&dir, 1), &TinyService) {
-            Err(ServeError::AlreadyRunning { pid }) => assert_eq!(pid, std::process::id()),
-            other => panic!("expected AlreadyRunning, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn exclusive_daemon_is_refused_while_a_member_is_live() {
-        let dir = fresh_dir("exclusive");
-        std::fs::create_dir_all(dir.join(FLEET_DIR)).expect("mkdir");
-        std::fs::write(
-            dir.join(FLEET_DIR).join("peer"),
-            format!("pid {}\ntoken peer\n", std::process::id()),
-        )
-        .expect("plant member");
-        let mut config = fast_config(&dir, 1);
-        config.exclusive = true;
-        match serve(&config, &TinyService) {
-            Err(ServeError::AlreadyRunning { pid }) => assert_eq!(pid, std::process::id()),
-            other => panic!("expected AlreadyRunning, got {other:?}"),
-        }
-        // Without --exclusive the same daemon joins the fleet instead.
-        submit(&dir, &ServeRequest::new("co", &["tiny"], Scale::Test)).expect("submit");
-        let report = serve(&fast_config(&dir, 1), &TinyService).expect("serve");
-        assert_eq!(report.served, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dead_daemon_lease_is_stolen_and_orphans_recovered() {
-        let dir = fresh_dir("orphan");
-        let dirs = ServeDirs::create(&dir).expect("dirs");
-        // A pre-fleet daemon died mid-request: dead legacy lease,
-        // claimed request at the top of work/, no response.
-        std::fs::write(&dirs.daemon, "pid 4000000000\ntoken corpse\n").expect("plant lease");
-        std::fs::write(
-            dirs.work.join("orphaned.req"),
-            encode_request(&ServeRequest::new("orphaned", &["tiny"], Scale::Test)),
-        )
-        .expect("plant orphan");
-        let report = serve(&fast_config(&dir, 1), &TinyService).expect("serve");
-        assert_eq!(report.served, 1);
-        assert_eq!(report.adopted, 1, "{report:?}");
-        let outcome = wait(&dir, "orphaned", Duration::from_secs(5), Duration::from_millis(1))
-            .expect("wait");
-        let WaitOutcome::Response(response) = outcome else {
-            panic!("no response");
-        };
-        let ServeOutcome::Ok { accounting, .. } = response.outcome else {
-            panic!("expected ok response");
-        };
-        assert!(accounting.exactly_once());
-        assert!(!dirs.daemon.exists(), "dead legacy lease must be swept");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn dead_member_work_is_adopted_and_served() {
         let dir = fresh_dir("adopt");
         std::fs::create_dir_all(dir.join(FLEET_DIR)).expect("mkdir");
@@ -1956,45 +1767,57 @@ mod tests {
 
     #[test]
     fn stale_stop_marker_does_not_drain_a_fresh_daemon() {
-        let dir = fresh_dir("stale-stop");
         // A stop aimed at a daemon that died (or was never started):
-        // marker on file, no live members. The fresh daemon must sweep
-        // it and serve normally, not exit drained with zero work done.
-        request_stop(&dir).expect("stop");
+        // marker dated before this daemon registered — or undated, which
+        // counts as old — and no live members. The fresh daemon must
+        // sweep it and serve normally, not exit drained with zero work.
+        for (tag, marker) in [
+            ("stale-stop", format!("stop\nunix_ms {}\n", unix_ms() - 10_000)),
+            ("undated-stop", "stop\n".to_string()),
+        ] {
+            let dir = fresh_dir(tag);
+            let dirs = ServeDirs::create(&dir).expect("dirs");
+            std::fs::write(&dirs.stop, marker).expect("plant stop");
+            submit(&dir, &ServeRequest::new("s", &["tiny"], Scale::Test)).expect("submit");
+            let report = serve(&fast_config(&dir, 1), &TinyService).expect("serve");
+            assert!(!report.drained, "{tag}: {report:?}");
+            assert_eq!(report.served, 1, "{tag}: {report:?}");
+            assert!(!dirs.stop.exists(), "{tag}: stale marker must be swept");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn stop_dated_after_registration_drains_the_daemon() {
+        let dir = fresh_dir("late-stop");
+        // The window between a daemon's registration and its startup
+        // sweep: a stop written there carries a time at or after the
+        // registration, and must drain the daemon rather than be swept
+        // as stale. Dating the marker ahead reproduces that window
+        // deterministically; unanswerable work proves it drained.
+        let dirs = ServeDirs::create(&dir).expect("dirs");
+        std::fs::write(&dirs.stop, format!("stop\nunix_ms {}\n", unix_ms() + 60_000))
+            .expect("plant stop");
         submit(&dir, &ServeRequest::new("s", &["tiny"], Scale::Test)).expect("submit");
         let report = serve(&fast_config(&dir, 1), &TinyService).expect("serve");
-        assert!(!report.drained, "{report:?}");
-        assert_eq!(report.served, 1, "{report:?}");
+        assert!(report.drained, "{report:?}");
+        assert_eq!(report.served, 0, "{report:?}");
+        assert!(!dir.join(STOP_FILE).exists(), "stop marker must be consumed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn serve_status_reports_lease_heartbeat_and_depths() {
+    fn serve_status_reports_an_empty_fleet_and_depths() {
         let dir = fresh_dir("status");
         let empty = serve_status(&dir);
-        assert_eq!(empty.daemon_pid, None);
+        assert!(empty.members.is_empty());
         assert_eq!(empty.inbox, 0);
         assert!(render_serve_status(&empty).contains("no daemon"));
 
-        let dirs = ServeDirs::create(&dir).expect("dirs");
-        std::fs::write(
-            &dirs.daemon,
-            format!("pid {}\ntoken t\n", std::process::id()),
-        )
-        .expect("lease");
-        std::fs::write(
-            &dirs.heartbeat,
-            format!("pid {}\ntick 3\nunix_ms {}\n", std::process::id(), unix_ms()),
-        )
-        .expect("heartbeat");
         submit(&dir, &ServeRequest::new("q", &["tiny"], Scale::Test)).expect("submit");
         let status = serve_status(&dir);
-        assert_eq!(status.daemon_pid, Some(std::process::id()));
-        assert!(status.daemon_live);
-        assert!(status.heartbeat_age_ms.is_some());
         assert_eq!(status.inbox, 1);
         let text = render_serve_status(&status);
-        assert!(text.contains("alive"), "{text}");
         assert!(text.contains("inbox 1 request(s)"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2009,7 +1832,6 @@ mod tests {
             .expect("plant corpse");
         let status = serve_status(&dir);
         assert_eq!(status.members.len(), 2);
-        assert!(status.daemon_live, "a live member counts as a live daemon");
         let text = render_serve_status(&status);
         assert!(text.contains("fleet of 2 member(s) (1 live)"), "{text}");
         assert!(text.contains("4 served"), "{text}");

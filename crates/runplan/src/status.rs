@@ -224,7 +224,7 @@ mod tests {
         member.heartbeat(1, 2, 0);
         let status = cache_status(&dir, EPOCH).expect("status");
         assert_eq!(status.serve.members.len(), 1);
-        assert!(status.serve.daemon_live);
+        assert!(status.serve.members[0].pid_live);
         let text = render_cache_status(&status, &dir, None);
         assert!(text.contains("fleet of 1 member(s) (1 live)"), "{text}");
         assert!(text.contains("2 served"), "{text}");

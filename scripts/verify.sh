@@ -81,7 +81,7 @@ cargo test -q
 echo "== clippy gate (no unwrap, no panic in shipped code) =="
 cargo clippy --workspace -q -- \
   -D clippy::unwrap_used -D clippy::panic
-cargo clippy -p interp-guard -p interp-microbench -q -- \
+cargo clippy -p interp-guard -q -- \
   -D warnings -D clippy::unwrap_used -D clippy::panic
 # The supervision, harness, and conformance layers — including the
 # journal/persistence module in interp-runplan — are held to the same
@@ -280,7 +280,7 @@ echo "== bench trajectory (JSON artifact + dispatch-tier gate) =="
 "$REPRO" bench --scale test --jobs 4 --out /tmp/repro_bench.json >/tmp/repro_bench_summary.txt \
   || { echo "bench failed (a fast dispatch tier regressed vs naive?)"; \
        cat /tmp/repro_bench_summary.txt; exit 1; }
-grep -q '"schema": "bench-trajectory/5"' /tmp/repro_bench.json \
+grep -q '"schema": "bench-trajectory/6"' /tmp/repro_bench.json \
   || { echo "bench trajectory missing schema marker"; exit 1; }
 grep -q '"dispatch"' /tmp/repro_bench.json \
   || { echo "bench trajectory missing dispatch-tier section"; exit 1; }
