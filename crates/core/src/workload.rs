@@ -53,6 +53,9 @@ pub enum WorkloadKind {
     Macro,
     /// A Table 1 microbenchmark (`a=b+c`, `read`, …).
     Micro,
+    /// An ablation probe: a small bespoke program one ablation measures
+    /// (`symtab-8x2`, `precompile-hash`, …), outside both suites.
+    Probe,
 }
 
 impl WorkloadKind {
@@ -61,6 +64,7 @@ impl WorkloadKind {
         match self {
             WorkloadKind::Macro => "macro",
             WorkloadKind::Micro => "micro",
+            WorkloadKind::Probe => "probe",
         }
     }
 }
@@ -74,7 +78,7 @@ pub struct WorkloadId {
     pub language: Language,
     /// Benchmark name within the registry.
     pub name: &'static str,
-    /// Macro suite or micro suite.
+    /// Macro suite, micro suite, or ablation-probe registry.
     pub kind: WorkloadKind,
     /// Input sizing.
     pub scale: Scale,
@@ -97,6 +101,16 @@ impl WorkloadId {
             language,
             name,
             kind: WorkloadKind::Micro,
+            scale,
+        }
+    }
+
+    /// An ablation probe.
+    pub fn probe(language: Language, name: &'static str, scale: Scale) -> Self {
+        WorkloadId {
+            language,
+            name,
+            kind: WorkloadKind::Probe,
             scale,
         }
     }
@@ -297,6 +311,7 @@ mod tests {
             RunRequest::pipeline(WorkloadId::macro_bench(Language::Mipsi, "des", Scale::Paper)),
             RunRequest::pipeline(WorkloadId::macro_bench(Language::Tclite, "des", Scale::Test)),
             RunRequest::pipeline(WorkloadId::micro(Language::Mipsi, "des", Scale::Test)),
+            RunRequest::pipeline(WorkloadId::probe(Language::Mipsi, "des", Scale::Test)),
             RunRequest::pipeline(id).with_dispatch(DispatchStrategy::Threaded),
             RunRequest::pipeline(id).with_dispatch(DispatchStrategy::Superinstr),
             RunRequest::pipeline(id).with_dispatch(DispatchStrategy::InlineCache),

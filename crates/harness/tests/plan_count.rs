@@ -15,8 +15,12 @@ use interp_runplan::Plan;
 /// (79 before the dispatch-tier family; +33 for the non-naive strategy
 /// variants of the macro suites — naive rows dedup against table2's;
 /// +5 for Javelin's tiered macro suite — the `tiered` family's naive
-/// and threaded rows dedup against table2's and dispatch's.)
-const EXPECTED_TEST_RUNS: usize = 117;
+/// and threaded rows dedup against table2's and dispatch's; +8 for the
+/// ablation probes — three Tcl symbol-table configurations, each a
+/// setup-only and a setup-plus-loop run, and two Perl precompilation
+/// runs. The dispatch ablation's MIPSI `des` counting runs are subsumed
+/// by the `dispatch` target's pipeline runs and add nothing.)
+const EXPECTED_TEST_RUNS: usize = 125;
 
 #[test]
 fn repro_all_test_scale_plan_count_is_pinned() {

@@ -241,8 +241,10 @@ impl<'a, S: TraceSink> Mipsi<'a, S> {
 
     /// Switch to threaded dispatch (the paper's §5 software optimization:
     /// "instruction fetch/decode overhead could be reduced by using
-    /// threaded interpretation"). Kept as a boolean convenience over
-    /// [`Dispatch::set_strategy`] for the dispatch ablation bench.
+    /// threaded interpretation"). A boolean convenience over
+    /// [`Dispatch::set_strategy`] for callers that drive the emulator by
+    /// hand, such as perfbench's threaded-speedup probe; the dispatch
+    /// ablation itself reads journaled `+threaded` runs.
     pub fn set_threaded_dispatch(&mut self, threaded: bool) {
         self.set_strategy(if threaded {
             DispatchStrategy::Threaded

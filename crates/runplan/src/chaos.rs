@@ -26,6 +26,7 @@ use interp_guard::{FaultPlan, Limits, Rng64, RunOutcome};
 use interp_workloads::{run_guarded, try_run_source_dispatch};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Stream-splitting constant so chaos lane rolls are decorrelated from
 /// the guest-corruption streams derived from the same seed.
@@ -64,11 +65,11 @@ pub enum ChaosLane {
 
 /// The chaos lane for `request` under `seed` — a pure function of both.
 /// Guest-corruption lanes require the guarded runner, which only accepts
-/// macro workloads; micro requests roll those lanes onto pool-level
-/// injections instead, so every request kind can degrade.
+/// macro workloads; micro and probe requests roll those lanes onto
+/// pool-level injections instead, so every request kind can degrade.
 pub fn lane(seed: u64, request: &RunRequest) -> ChaosLane {
     let mut rng = Rng64::new(seed ^ CHAOS_STREAM ^ fnv1a(request.to_string().as_bytes()));
-    let micro = request.workload.kind == WorkloadKind::Micro;
+    let micro = request.workload.kind != WorkloadKind::Macro;
     match rng.range(0, 16) {
         0 if micro => ChaosLane::WorkerStall,
         0 => ChaosLane::FlakyGuestFault,
@@ -881,15 +882,17 @@ struct ServeTally {
 }
 
 impl ServeTally {
-    /// Wait for the response to every id in `ids` and fold it in:
-    /// ok responses are graded against `planned` and `expected_body`,
-    /// and rejections of kind `rejection` (if given) are counted.
+    /// Wait until `deadline` for the response to every id in `ids` and
+    /// fold it in: ok responses are graded against `planned` and
+    /// `expected_body`, and rejections of kind `rejection` (if given)
+    /// are counted.
     fn read(
         dir: &Path,
         ids: &[String],
         planned: usize,
         expected_body: &str,
         rejection: Option<crate::serve::RejectKind>,
+        deadline: Instant,
     ) -> Result<ServeTally, JournalError> {
         use crate::serve::{ServeOutcome, WaitOutcome};
         let mut tally = ServeTally { exactly_once: true, body_identical: true, ..ServeTally::default() };
@@ -897,8 +900,8 @@ impl ServeTally {
             let waited = crate::serve::wait(
                 dir,
                 id,
-                std::time::Duration::from_secs(120),
-                std::time::Duration::from_millis(2),
+                deadline.saturating_duration_since(Instant::now()),
+                Duration::from_millis(2),
             )?;
             let WaitOutcome::Response(response) = waited else {
                 continue;
@@ -920,13 +923,15 @@ impl ServeTally {
         Ok(tally)
     }
 
-    /// The lane's verdict, with `clean_exit` graded by the caller.
+    /// The lane's verdict, with `clean_exit` and `in_time` (the round's
+    /// daemons answered before its deadline) graded by the caller.
     fn verdict(
         &self,
         seed: u64,
         lane: JournalChaosLane,
         planned: usize,
         clean_exit: bool,
+        in_time: bool,
     ) -> ChaosVerdict {
         ChaosVerdict {
             seed,
@@ -941,6 +946,7 @@ impl ServeTally {
                 ("exactly-once", self.exactly_once),
                 ("body-identical", self.body_identical),
                 ("clean-exit", clean_exit),
+                ("answered-in-time", in_time),
             ],
         }
     }
@@ -973,7 +979,47 @@ fn plant_member(
     Ok(work)
 }
 
-/// Run one serve-daemon robustness scenario against a cold cache.
+/// How long one serve-lane round may run before its daemons are told
+/// to stop and the round is graded FAIL (`answered-in-time=false`). A
+/// healthy round takes well under a second; only a daemon that never
+/// answers comes near it.
+const SERVE_ROUND_DEADLINE: Duration = Duration::from_secs(60);
+
+/// Wait for `daemon` to return; if `deadline` passes first, request a
+/// stop (every member drains and exits at its next scan) and report the
+/// round late. The caller joins the handle either way.
+fn await_daemon<T>(
+    daemon: &std::thread::ScopedJoinHandle<'_, T>,
+    dir: &Path,
+    deadline: Instant,
+) -> bool {
+    while !daemon.is_finished() {
+        if Instant::now() >= deadline {
+            let _ = crate::serve::request_stop(dir);
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// Run one serve daemon under `deadline` (see [`await_daemon`]).
+/// Returns its result (`None` if it panicked) and whether it returned
+/// in time.
+fn serve_until(
+    config: &crate::serve::ServeConfig,
+    service: &ChaosServeService,
+    deadline: Instant,
+) -> (Option<Result<crate::serve::ServeReport, JournalError>>, bool) {
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| crate::serve::serve(config, service));
+        let in_time = await_daemon(&daemon, &config.cache_dir, deadline);
+        (daemon.join().ok(), in_time)
+    })
+}
+
+/// Run one serve-daemon robustness scenario against a cold cache. The
+/// round's daemons run under [`SERVE_ROUND_DEADLINE`].
 #[allow(clippy::too_many_arguments)]
 fn serve_chaos_seed(
     plan: &Plan,
@@ -1005,8 +1051,9 @@ fn serve_chaos_seed(
     serve_config.poll = std::time::Duration::from_millis(1);
     let chaos_request =
         |id: &str| ServeRequest::new(id, &["chaos-plan"], interp_core::Scale::Test);
+    let deadline = Instant::now() + SERVE_ROUND_DEADLINE;
     let responses = |ids: &[String], rejection: Option<RejectKind>| {
-        ServeTally::read(dir, ids, planned, &expected_body, rejection)
+        ServeTally::read(dir, ids, planned, &expected_body, rejection, deadline)
     };
     // Every daemon deregisters on exit: the fleet registry is empty.
     let fleet_empty = || crate::fleet::fleet_members(dir).is_empty();
@@ -1026,12 +1073,15 @@ fn serve_chaos_seed(
             std::fs::write(inbox.join("torn.req"), &full.as_bytes()[..cut])
                 .map_err(|e| journal_io(dir, e))?;
             serve_config.max_requests = Some(1);
-            serve::serve(&serve_config, &service)?;
+            let (Some(daemon), in_time) = serve_until(&serve_config, &service, deadline) else {
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
+            };
+            daemon?;
             let tally = ServeTally {
                 expected_rejected: 1,
                 ..responses(&["torn".to_string()], Some(RejectKind::Torn))?
             };
-            Ok(tally.verdict(seed, lane, planned, fleet_empty()))
+            Ok(tally.verdict(seed, lane, planned, fleet_empty(), in_time))
         }
         JournalChaosLane::ServeCrashRecovery => {
             // A daemon died between claiming a request and committing its
@@ -1051,7 +1101,10 @@ fn serve_chaos_seed(
             let corpse_work =
                 plant_member(dir, "corpse", DEAD_PID, None, &chaos_request("crashed"))?;
             serve_config.max_requests = Some(1);
-            let report = serve::serve(&serve_config, &service)?;
+            let (Some(daemon), in_time) = serve_until(&serve_config, &service, deadline) else {
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
+            };
+            let report = daemon?;
             let mut tally = responses(&["crashed".to_string()], None)?;
             tally.expected_ok = 1;
             tally.rejected = report.rejected;
@@ -1060,7 +1113,7 @@ fn serve_chaos_seed(
                 && tally.executed == planned - prefix;
             tally.body_identical &= tally.ok == 1;
             let clean_exit = fleet_empty() && !corpse_work.join("crashed.req").exists();
-            Ok(tally.verdict(seed, lane, planned, clean_exit))
+            Ok(tally.verdict(seed, lane, planned, clean_exit, in_time))
         }
         JournalChaosLane::ServeClientRace => {
             // N clients race one daemon while a batch campaign shares the
@@ -1071,7 +1124,7 @@ fn serve_chaos_seed(
             serve_config.max_requests = Some(clients as u64);
             let stagger = std::time::Duration::from_millis(seed % 5);
             let ids: Vec<String> = (0..clients).map(|i| format!("race-{i}")).collect();
-            let (daemon, batch, submitted) = std::thread::scope(|scope| {
+            let (daemon, batch, submitted, in_time) = std::thread::scope(|scope| {
                 let daemon = scope.spawn(|| serve::serve(&serve_config, &service));
                 let batch = scope.spawn(|| {
                     std::thread::sleep(stagger);
@@ -1083,7 +1136,8 @@ fn serve_chaos_seed(
                     .map(|id| scope.spawn(move || serve::submit(dir, &chaos_request(id))))
                     .collect();
                 let submitted: Vec<_> = clients.into_iter().map(|h| h.join()).collect();
-                (daemon.join(), batch.join(), submitted)
+                let in_time = await_daemon(&daemon, dir, deadline);
+                (daemon.join(), batch.join(), submitted, in_time)
             });
             let (Ok(daemon), Ok(batch)) = (daemon, batch) else {
                 return Ok(ChaosVerdict::did_not_run(seed, lane));
@@ -1104,7 +1158,7 @@ fn serve_chaos_seed(
                 batch_report.planned == planned && tally.executed == planned;
             tally.body_identical &= content_hashes(plan, &batch_executed) == *baseline;
             let clean_exit = report.served + report.rejected == clients && fleet_empty();
-            Ok(tally.verdict(seed, lane, planned, clean_exit))
+            Ok(tally.verdict(seed, lane, planned, clean_exit, in_time))
         }
         JournalChaosLane::FleetMemberKill => {
             // One of two daemons was killed mid-burst: a wedged member
@@ -1128,13 +1182,16 @@ fn serve_chaos_seed(
             serve::submit(dir, &urgent)?;
             serve_config.max_requests = Some(2);
             serve_config.serve_jobs = 2;
-            let report = serve::serve(&serve_config, &service)?;
+            let (Some(daemon), in_time) = serve_until(&serve_config, &service, deadline) else {
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
+            };
+            let report = daemon?;
             let mut tally = responses(&["killed".to_string(), "urgent".to_string()], None)?;
             tally.expected_ok = 2;
             tally.rejected = report.rejected;
             tally.exactly_once &= report.adopted == 1 && tally.executed == planned;
             let clean_exit = fleet_empty() && !wedged_work.exists();
-            Ok(tally.verdict(seed, lane, planned, clean_exit))
+            Ok(tally.verdict(seed, lane, planned, clean_exit, in_time))
         }
         JournalChaosLane::FleetOrphanAdoption => {
             // A dead member (corpse pid) left a claimed request behind
@@ -1154,14 +1211,15 @@ fn serve_chaos_seed(
                 serve::submit(dir, &request)?;
                 ids.push(request.id);
             }
-            let (first, second) = std::thread::scope(|scope| {
+            let (first, second, in_time) = std::thread::scope(|scope| {
                 let a = scope.spawn(|| serve::serve(&serve_config, &service));
                 let b = scope.spawn(|| serve::serve(&serve_config, &service));
                 // Every response must arrive while both daemons run;
                 // only then drain the fleet.
                 let _ = responses(&ids, None);
+                let in_time = Instant::now() < deadline;
                 let _ = serve::request_stop(dir);
-                (a.join(), b.join())
+                (a.join(), b.join(), in_time)
             });
             let (Ok(first), Ok(second)) = (first, second) else {
                 return Ok(ChaosVerdict::did_not_run(seed, lane));
@@ -1176,7 +1234,7 @@ fn serve_chaos_seed(
                 && fleet_empty()
                 && !dir.join(serve::STOP_FILE).exists()
                 && !corpse_work.exists();
-            Ok(tally.verdict(seed, lane, planned, clean_exit))
+            Ok(tally.verdict(seed, lane, planned, clean_exit, in_time))
         }
         JournalChaosLane::DeadlineStorm => {
             // Every request in the burst is already expired. Each must
@@ -1192,13 +1250,16 @@ fn serve_chaos_seed(
                 ids.push(request.id);
             }
             serve_config.max_requests = Some(storm as u64);
-            serve::serve(&serve_config, &service)?;
+            let (Some(daemon), in_time) = serve_until(&serve_config, &service, deadline) else {
+                return Ok(ChaosVerdict::did_not_run(seed, lane));
+            };
+            daemon?;
             let tally = ServeTally {
                 expected_rejected: storm,
                 exactly_once: !dir.join(JOURNAL_FILE).exists(),
                 ..responses(&ids, Some(RejectKind::DeadlineExpired))?
             };
-            Ok(tally.verdict(seed, lane, planned, fleet_empty()))
+            Ok(tally.verdict(seed, lane, planned, fleet_empty(), in_time))
         }
         _ => Ok(ChaosVerdict::did_not_run(seed, lane)),
     }
@@ -1295,6 +1356,49 @@ mod tests {
             RunRequest::counting(WorkloadId::micro(Language::C, "a=b+c", Scale::Test)),
             RunRequest::counting(WorkloadId::micro(Language::Perlite, "call", Scale::Test)),
         ])
+    }
+
+    #[test]
+    fn a_daemon_that_never_answers_fails_within_the_round_deadline() {
+        let dir = std::env::temp_dir().join(format!("chaos-unanswered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let planned = small_plan().len();
+        let request = crate::serve::ServeRequest::new("stranded", &["chaos-plan"], Scale::Test);
+        // A live member (this process) with a fresh heartbeat holds the
+        // request, so no daemon may adopt it and it is never answered.
+        let pid = std::process::id();
+        let heartbeat = format!(
+            "pid {pid}\ntick 1\nunix_ms {}\nserved 0\nin-flight 1\n",
+            crate::fleet::unix_ms()
+        );
+        plant_member(&dir, "alive", pid, Some(&heartbeat), &request).expect("plant");
+        let mut config = crate::serve::ServeConfig::new(&dir);
+        config.max_requests = Some(1);
+        config.poll = Duration::from_millis(1);
+        let service = ChaosServeService { plan: small_plan() };
+        let round = Duration::from_millis(300);
+        let started = Instant::now();
+        let deadline = started + round;
+
+        let (daemon, in_time) = serve_until(&config, &service, deadline);
+        let report = daemon.expect("daemon panicked").expect("daemon failed");
+        let tally = ServeTally {
+            expected_ok: 1,
+            ..ServeTally::read(&dir, &["stranded".to_string()], planned, "", None, deadline)
+                .expect("read outbox")
+        };
+        let verdict =
+            tally.verdict(0, JournalChaosLane::ServeCrashRecovery, planned, true, in_time);
+
+        assert!(!in_time && report.drained, "the deadline must stop the daemon");
+        assert!(!verdict.passed(), "{}", verdict.render());
+        assert!(verdict.checks.contains(&("answered-in-time", false)), "{}", verdict.render());
+        assert!(
+            started.elapsed() < round + Duration::from_secs(5),
+            "the round took {:?}",
+            started.elapsed()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,6 +25,19 @@
 //! truncates the journal; the loader treats that (and every other
 //! corruption) as a *recoverable, typed* event.
 //!
+//! # Lock-free reads
+//!
+//! A resumed execution whose plan the published image already answers
+//! needs nothing from the lock: [`execute_journaled_with`] first reads
+//! the image without it and, if the image has no defect and holds a
+//! label-matching record for every planned request, returns at once —
+//! no lock, no writer session, no sweep, no republish, no fsync. This is
+//! safe because images are only ever published by rename (a reader sees
+//! one whole image) and, within an epoch, a record is never rewritten:
+//! it is only added (or dropped by a cold run's truncating open), so any
+//! record read is a correct answer. Any miss or defect takes the locked
+//! path below, which heals.
+//!
 //! # Multi-process coordination
 //!
 //! Several `repro` processes may share one cache directory. Every
@@ -91,7 +104,7 @@ use interp_core::{RunArtifact, RunRequest};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use std::fmt;
 
@@ -810,6 +823,10 @@ pub struct JournalConfig {
     /// [`CRASH_EXIT_CODE`]) after this many successful appends, leaving
     /// a valid journal prefix behind for `--resume` to pick up.
     pub crash_after_appends: Option<u64>,
+    /// A decoded-image cache the lock-free read path consults instead
+    /// of decoding the published image on every call (a long-lived
+    /// process, such as a serve daemon, shares one across requests).
+    pub image_cache: Option<Arc<ImageCache>>,
 }
 
 impl JournalConfig {
@@ -821,6 +838,7 @@ impl JournalConfig {
             epoch: current_epoch(),
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
             crash_after_appends: None,
+            image_cache: None,
         }
     }
 
@@ -846,6 +864,60 @@ impl JournalConfig {
     pub fn with_crash_after(mut self, appends: u64) -> Self {
         self.crash_after_appends = Some(appends);
         self
+    }
+
+    /// Builder-style decoded-image cache for the lock-free read path.
+    pub fn with_image_cache(mut self, cache: Arc<ImageCache>) -> Self {
+        self.image_cache = Some(cache);
+        self
+    }
+}
+
+/// Which published image a decode came from: a new publish is a new
+/// file (new inode), and an in-place change moves its length or mtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ImageId {
+    len: u64,
+    mtime: Option<std::time::SystemTime>,
+    inode: u64,
+    epoch: u64,
+}
+
+/// The last published image the lock-free read path decoded, keyed by
+/// the file's length, mtime and inode (and the epoch it was verified
+/// under). Any mismatch re-reads and re-decodes the journal. One cache
+/// serves one journal file (a serve daemon keeps one for its cache dir).
+#[derive(Debug, Default)]
+pub struct ImageCache {
+    last: Mutex<Option<(ImageId, Arc<LoadedJournal>)>>,
+}
+
+impl ImageCache {
+    /// The decoded image at `path`, from the cache if the file is the
+    /// one last decoded. The identity is taken from the open handle the
+    /// bytes are read through, so it always matches those bytes.
+    fn load(&self, path: &Path, epoch: u64) -> std::io::Result<Arc<LoadedJournal>> {
+        use std::io::Read as _;
+        use std::os::unix::fs::MetadataExt as _;
+        let mut file = std::fs::File::open(path)?;
+        let meta = file.metadata()?;
+        let id = ImageId {
+            len: meta.len(),
+            mtime: meta.modified().ok(),
+            inode: meta.ino(),
+            epoch,
+        };
+        let mut last = self.last.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((cached, loaded)) = last.as_ref() {
+            if *cached == id {
+                return Ok(Arc::clone(loaded));
+            }
+        }
+        let mut bytes = Vec::with_capacity(id.len as usize);
+        file.read_to_end(&mut bytes)?;
+        let loaded = Arc::new(load_bytes(&bytes, epoch));
+        *last = Some((id, Arc::clone(&loaded)));
+        Ok(loaded)
     }
 }
 
@@ -873,6 +945,9 @@ pub struct ResumeReport {
     /// Journal write failures (the runs still succeeded; only their
     /// durability was lost).
     pub write_errors: Vec<String>,
+    /// The whole plan was answered on the lock-free read path: no lock
+    /// taken, no session registered, nothing written or fsynced.
+    pub lock_free: bool,
 }
 
 /// Render the resume report for stderr: one summary line plus one line
@@ -922,6 +997,9 @@ pub fn execute_journaled(
 /// The journaled-execution core with an injectable per-attempt runner
 /// (tests count executions here). Semantics:
 ///
+/// 0. With `resume`, first try the [lock-free read path](read_published):
+///    if the published image is clean and answers the whole plan, return
+///    at once — no lock, no session, no write, no fsync.
 /// 1. Open the journal under the lock (healing defects; loading records
 ///    iff `resume` — or iff live concurrent writers are registered, the
 ///    campaign-join case) and register this session as a writer.
@@ -947,6 +1025,11 @@ where
     F: Fn(&RunRequest, u32) -> Result<RunArtifact, RunFailure> + Sync,
 {
     let started = Instant::now();
+    if journal.resume {
+        if let Some(answered) = read_published(plan, jobs, journal, started) {
+            return Ok(answered);
+        }
+    }
     let token = fresh_token();
     let (writer, loaded) = JournalWriter::open_with(
         &journal.dir,
@@ -1101,6 +1184,71 @@ where
             jobs: jobs.clamp(1, plan.len().max(1)),
         },
         report,
+    ))
+}
+
+/// The lock-free read path: read the published image without the lock
+/// and, if it has no defect and holds a label-matching record for every
+/// planned request, answer the plan from it exactly as the locked path
+/// would (every slot reused, zero durations, zero attempts).
+///
+/// Safe without the lock: every image is published by rename, so a read
+/// sees one whole image, never a half-written one; within an epoch a
+/// record is never rewritten, only added (or dropped by a cold run's
+/// truncating open), so any record read is a correct answer.
+/// Anything else — an empty plan, a missing file, a miss, a label
+/// mismatch, or any defect (torn tail, stale epoch, …) — returns
+/// `None`, and the caller takes the locked path, which heals and
+/// republishes as before.
+fn read_published(
+    plan: &Plan,
+    jobs: usize,
+    journal: &JournalConfig,
+    started: Instant,
+) -> Option<(ExecutedPlan, ResumeReport)> {
+    // An empty plan takes the locked path, which creates the journal if
+    // it is missing, exactly as before.
+    if plan.is_empty() {
+        return None;
+    }
+    let path = journal.dir.join(JOURNAL_FILE);
+    let loaded = match &journal.image_cache {
+        Some(cache) => cache.load(&path, journal.epoch).ok()?,
+        None => Arc::new(load_bytes(&std::fs::read(&path).ok()?, journal.epoch)),
+    };
+    if !loaded.defects.is_empty() {
+        return None;
+    }
+    let mut store = crate::store::ArtifactStore::new();
+    for request in plan.requests() {
+        let record = loaded.records.get(&request.fingerprint())?;
+        if record.label != request.label() {
+            return None;
+        }
+        store.insert(*request, record.artifact.clone());
+    }
+    let timings = plan
+        .requests()
+        .iter()
+        .map(|request| RunTiming {
+            request: *request,
+            duration: Duration::ZERO,
+            attempts: 0,
+        })
+        .collect();
+    Some((
+        ExecutedPlan {
+            store,
+            timings,
+            wall: started.elapsed(),
+            jobs: jobs.clamp(1, plan.len().max(1)),
+        },
+        ResumeReport {
+            planned: plan.len(),
+            reused: plan.len(),
+            lock_free: true,
+            ..ResumeReport::default()
+        },
     ))
 }
 
@@ -1382,6 +1530,34 @@ mod tests {
     }
 
     #[test]
+    fn image_cache_redecodes_only_a_changed_file() {
+        let dir = std::env::temp_dir().join(format!("interp-image-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(JOURNAL_FILE);
+        let epoch = 7;
+        let (mut writer, _) = JournalWriter::open(&dir, epoch, false).expect("open");
+        writer.append(1, "one", &artifact(1)).expect("append");
+        let cache = ImageCache::default();
+
+        let first = cache.load(&path, epoch).expect("load");
+        assert_eq!(first.records.len(), 1);
+        let again = cache.load(&path, epoch).expect("load");
+        assert!(Arc::ptr_eq(&first, &again), "an unchanged file is not decoded again");
+        assert!(!Arc::ptr_eq(&first, &cache.load(&path, epoch + 1).expect("load")));
+
+        // A new publish is a new file.
+        writer.append(2, "two", &artifact(2)).expect("append");
+        assert_eq!(cache.load(&path, epoch).expect("load").records.len(), 2);
+        // An in-place truncation keeps the inode but moves the length.
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");
+        let torn = cache.load(&path, epoch).expect("load");
+        assert_eq!(torn.defects[0].kind, JournalDefectKind::TornTail);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_report_renders_summary_and_defects() {
         let report = ResumeReport {
             planned: 10,
@@ -1395,6 +1571,7 @@ mod tests {
                 detail: "test tear".to_string(),
             }],
             write_errors: vec!["disk full".to_string()],
+            lock_free: false,
         };
         let text = render_resume_report(&report, Path::new("/tmp/cache"));
         assert!(text.contains("reused 6 of 10"), "{text}");

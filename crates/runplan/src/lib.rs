@@ -82,7 +82,7 @@ pub use fleet::{
 pub use fingerprint::{current_epoch, journal_key};
 pub use journal::{
     execute_journaled, execute_journaled_with, load_bytes, load_file, render_resume_report,
-    Gate, JournalConfig, JournalDefect, JournalDefectKind, JournalError, JournalErrorKind,
+    Gate, ImageCache, JournalConfig, JournalDefect, JournalDefectKind, JournalError, JournalErrorKind,
     JournalSession, JournalWriter, LoadedJournal, ResumeReport, DEFAULT_CACHE_DIR,
 };
 pub use lock::{

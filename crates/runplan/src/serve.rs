@@ -72,6 +72,11 @@
 //!   and concurrent batch invocations partition work through the claims
 //!   registry and every response satisfies
 //!   `reused + executed + reused_live == planned`.
+//! * **Warm requests write no journal**: a request whose runs are all
+//!   journaled is answered on the journal's lock-free read path and
+//!   rendered from the store alone — no interpreter runs, no lock, no
+//!   journal write, no fsync; its only durable write is the response
+//!   publish. [`ServeReport::lock_free`] counts them.
 //! * **Graceful drain**: a `serve/stop` file (written by
 //!   `repro serve --stop`) makes every fleet member finish its requests
 //!   in flight, flush its responses, deregister, and exit 0; the last
@@ -106,7 +111,8 @@
 
 use crate::fleet::{self, unix_ms, FleetMemberInfo, FleetMembership};
 use crate::journal::{
-    execute_journaled, io_err, JournalConfig, JournalError, JournalErrorKind, ResumeReport,
+    execute_journaled, io_err, ImageCache, JournalConfig, JournalError, JournalErrorKind,
+    ResumeReport,
 };
 use crate::lock::parse_field;
 use crate::plan::Plan;
@@ -115,6 +121,7 @@ use crate::supervise::{backoff_delay, SuperviseConfig};
 use interp_guard::Rng64;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Serve state directory inside a cache dir.
@@ -716,6 +723,10 @@ pub struct ServeReport {
     pub requeued: usize,
     /// The daemon exited through the stop-file drain path.
     pub drained: bool,
+    /// Ok responses answered on the journal's lock-free read path: the
+    /// journal already held every planned run, so the request took no
+    /// lock and wrote and fsynced nothing but its response.
+    pub lock_free: usize,
 }
 
 impl ServeReport {
@@ -823,12 +834,14 @@ fn note_progress(dirs: &ServeDirs, id: &str, state: &str) {
 fn execute_with_retry(
     plan: &Plan,
     config: &ServeConfig,
+    image_cache: &Arc<ImageCache>,
 ) -> Result<(ExecutedPlan, ResumeReport), JournalError> {
     let mut attempt: u32 = 0;
     loop {
         let mut jconfig = JournalConfig::new(&config.cache_dir)
             .with_resume(true)
-            .with_lock_timeout(config.lock_timeout);
+            .with_lock_timeout(config.lock_timeout)
+            .with_image_cache(Arc::clone(image_cache));
         if let Some(n) = config.crash_after {
             jconfig = jconfig.with_crash_after(n);
         }
@@ -847,8 +860,9 @@ fn execute_with_retry(
 
 /// What serving one claimed request produced.
 enum ProcessOutcome {
-    /// Response published with a rendered body.
-    Served,
+    /// Response published with a rendered body; `lock_free` if the
+    /// journal's lock-free read path answered the whole plan.
+    Served { lock_free: bool },
     /// Response published with a typed rejection.
     Rejected,
     /// Journal lock contention: the claim went back to the inbox for
@@ -865,12 +879,14 @@ enum ProcessOutcome {
 fn process_request(
     dirs: &ServeDirs,
     config: &ServeConfig,
+    image_cache: &Arc<ImageCache>,
     service: &dyn PlanService,
     id: &str,
     path: &Path,
     parsed: &Result<ServeRequest, Reject>,
 ) -> Result<ProcessOutcome, JournalError> {
     note_progress(dirs, id, "admitted");
+    let mut lock_free = false;
     let outcome = match parsed {
         Err(reject) => ServeOutcome::Rejected(reject.clone()),
         // Deadline gate at the moment of execution: a request that
@@ -890,12 +906,15 @@ fn process_request(
             Err(reject) => ServeOutcome::Rejected(reject),
             Ok(plan) => {
                 note_progress(dirs, id, "executing");
-                match execute_with_retry(&plan, config) {
-                    Ok((executed, report)) => ServeOutcome::Ok {
-                        degraded: executed.is_degraded(),
-                        accounting: ServeAccounting::from_report(&report),
-                        body: service.render(request, &executed).into_bytes(),
-                    },
+                match execute_with_retry(&plan, config, image_cache) {
+                    Ok((executed, report)) => {
+                        lock_free = report.lock_free;
+                        ServeOutcome::Ok {
+                            degraded: executed.is_degraded(),
+                            accounting: ServeAccounting::from_report(&report),
+                            body: service.render(request, &executed).into_bytes(),
+                        }
+                    }
                     // Losing the advisory lock to contention (fleet
                     // peers, concurrent batch runs) is a per-request
                     // fate, not a daemon failure: hand the claim back
@@ -915,7 +934,7 @@ fn process_request(
     publish_response(dirs, &ServeResponse { id: id.to_string(), outcome })?;
     let _ = std::fs::remove_file(path);
     note_progress(dirs, id, if served { "done" } else { "rejected" });
-    Ok(if served { ProcessOutcome::Served } else { ProcessOutcome::Rejected })
+    Ok(if served { ProcessOutcome::Served { lock_free } } else { ProcessOutcome::Rejected })
 }
 
 /// Clear a stop marker left behind by a dead (or already-drained)
@@ -958,6 +977,9 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
     let mut membership = FleetMembership::register(&config.cache_dir)?;
     sweep_stale_stop(&dirs, &config.cache_dir, &membership.token, registered_ms);
     let mut report = ServeReport::default();
+    // One decoded journal image shared by every request this member
+    // serves: a warm request re-decodes only after a new publish.
+    let image_cache = Arc::new(ImageCache::default());
     // Heartbeat from a background thread: execution time never counts
     // as staleness, however long an admitted batch runs.
     let mut pulse = membership.spawn_pulse(config.member_stale_after);
@@ -1057,6 +1079,7 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
             process_request(
                 &dirs,
                 config,
+                &image_cache,
                 service,
                 &scanned.id,
                 &scanned.inbox_path,
@@ -1065,7 +1088,10 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
         });
         for outcome in outcomes {
             match outcome {
-                Some(Ok(ProcessOutcome::Served)) => report.served += 1,
+                Some(Ok(ProcessOutcome::Served { lock_free })) => {
+                    report.served += 1;
+                    report.lock_free += usize::from(lock_free);
+                }
                 Some(Ok(ProcessOutcome::Rejected)) => report.rejected += 1,
                 Some(Ok(ProcessOutcome::Requeued)) => report.requeued += 1,
                 Some(Err(e)) => return Err(e),
@@ -1762,6 +1788,41 @@ mod tests {
             .expect("serve");
         assert!(report.drained);
         assert!(!dir.join(STOP_FILE).exists(), "stop marker must be consumed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_requests_are_answered_lock_free_without_touching_the_journal() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = fresh_dir("warm");
+        submit(&dir, &ServeRequest::new("cold", &["tiny"], Scale::Test)).expect("submit");
+        let cold = serve(&fast_config(&dir, 1), &TinyService).expect("serve cold");
+        assert_eq!((cold.served, cold.lock_free), (1, 0), "{cold:?}");
+        let journal = dir.join(crate::journal::JOURNAL_FILE);
+        let identity = || {
+            let meta = std::fs::metadata(&journal).expect("journal");
+            (std::fs::read(&journal).expect("journal"), meta.ino(), meta.modified().ok())
+        };
+        let before = identity();
+
+        for id in ["warm-a", "warm-b"] {
+            submit(&dir, &ServeRequest::new(id, &["tiny"], Scale::Test)).expect("submit");
+        }
+        let warm = serve(&fast_config(&dir, 2), &TinyService).expect("serve warm");
+        assert_eq!((warm.served, warm.lock_free), (2, 2), "{warm:?}");
+        assert_eq!(identity(), before, "a warm request touched the journal");
+        assert!(!dir.join(crate::lock::LOCK_FILE).exists());
+        let body = |id: &str| match wait(&dir, id, Duration::from_secs(5), Duration::from_millis(1)) {
+            Ok(WaitOutcome::Response(ServeResponse {
+                outcome: ServeOutcome::Ok { body, accounting, .. },
+                ..
+            })) => (body, accounting.executed),
+            other => panic!("{id}: {other:?}"),
+        };
+        let (cold_body, _) = body("cold");
+        for id in ["warm-a", "warm-b"] {
+            assert_eq!(body(id), (cold_body.clone(), 0), "{id}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

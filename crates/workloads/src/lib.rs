@@ -2,14 +2,15 @@
 //!
 //! Provides the macro suite of Table 2 (each program in its original
 //! language, with deterministic synthetic inputs), the Table 1
-//! microbenchmarks in all five languages, and one typed entry point — the
+//! microbenchmarks in all five languages, the ablation probes
+//! ([`probes`]), and one typed entry point — the
 //! [`runner::Runner`] facade over [`runner::run_macro`],
 //! [`runner::run_micro`], and [`guarded::run_guarded`] — that wires a
 //! [`interp_core::WorkloadId`] to a machine, an interpreter, and a trace
 //! sink. Suites enumerate typed ids, so experiments, guard sweeps, and
 //! the run-plan engine all share one workload registry.
 //!
-//! Programs are self-checking: each prints `OK …` (often a checksum that
+//! Suite programs are self-checking: each prints `OK …` (often a checksum that
 //! must agree across languages — des produces identical ciphertext in C,
 //! MIPSI, Joule, Perl, and Tcl) so no experiment can silently measure a
 //! broken run.
@@ -20,6 +21,7 @@ pub mod joule_progs;
 pub mod micro;
 pub mod minic_progs;
 pub mod perl_progs;
+pub mod probes;
 pub mod runner;
 pub mod tcl_progs;
 

@@ -10,7 +10,7 @@ use interp_guard::{GuardError, Limits};
 use interp_host::{Machine, UiEvent};
 
 use crate::minic_progs::{self, instantiate};
-use crate::{inputs, joule_progs, micro, perl_progs, tcl_progs};
+use crate::{inputs, joule_progs, micro, perl_progs, probes, tcl_progs};
 
 pub use interp_core::Scale;
 
@@ -650,6 +650,30 @@ pub fn try_run_micro_dispatch<S: TraceSink>(
     )
 }
 
+/// Run one ablation probe (see [`crate::probes`]) under `limits`, with
+/// every failure as a typed [`GuardError`].
+fn try_run_probe_dispatch<S: TraceSink>(
+    language: Language,
+    name: &str,
+    limits: Limits,
+    dispatch: DispatchStrategy,
+    sink: S,
+) -> Result<RunResult<S>, GuardError> {
+    let Some(src) = probes::probe_source(language, name) else {
+        return Err(bad_program(language, format!("unknown probe `{name}`")));
+    };
+    run_source_dispatch(
+        language,
+        &src,
+        Vec::new(),
+        Vec::new(),
+        limits,
+        dispatch,
+        DispatchFault::None,
+        sink,
+    )
+}
+
 /// Run one Table 1 microbenchmark. The C variant is also the MIPSI guest.
 ///
 /// # Panics
@@ -667,6 +691,20 @@ pub fn run_micro<S: TraceSink>(
 ) -> RunResult<S> {
     try_run_micro(language, name, scale, Limits::unlimited(), sink)
         .unwrap_or_else(|e| panic!("microbenchmark {language}/{name} failed: {e}"))
+}
+
+/// Run one ablation probe, panicking like [`run_macro`] on an unknown
+/// name or a failed run.
+#[allow(clippy::panic)]
+fn run_probe<S: TraceSink>(workload: WorkloadId, sink: S) -> RunResult<S> {
+    try_run_probe_dispatch(
+        workload.language,
+        workload.name,
+        Limits::unlimited(),
+        DispatchStrategy::Naive,
+        sink,
+    )
+    .unwrap_or_else(|e| panic!("probe {workload} failed: {e}"))
 }
 
 /// Microbenchmark iteration count for `(language, name, scale)` — needed
@@ -706,6 +744,7 @@ impl Runner {
             WorkloadKind::Micro => {
                 run_micro(workload.language, workload.name, workload.scale, sink)
             }
+            WorkloadKind::Probe => run_probe(workload, sink),
         }
     }
 
@@ -750,6 +789,9 @@ impl Runner {
                 dispatch,
                 sink,
             ),
+            WorkloadKind::Probe => {
+                try_run_probe_dispatch(workload.language, workload.name, limits, dispatch, sink)
+            }
         }
     }
 

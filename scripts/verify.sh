@@ -43,7 +43,10 @@
 #                        the serial cold `repro all`, execution split
 #                        exactly-once; then a second daemon is SIGKILLed
 #                        mid-request and a restarted daemon recovers the
-#                        orphaned claim, again byte-identical.
+#                        orphaned claim, again byte-identical. One more
+#                        `all` request against the warm cache must come
+#                        back byte-identical while the journal's bytes,
+#                        inode and mtime stay unchanged.
 #   fleet smoke        — two `repro serve` daemons join one cache as a
 #                        failover fleet; one is SIGKILLed mid-burst and
 #                        the survivor adopts its claimed work: every
@@ -198,6 +201,28 @@ served_exec=$(cat /tmp/repro_serve_a.err /tmp/repro_serve_b.err \
 [ "$served_exec" = "$planned" ] \
   || { echo "serve exactly-once violated: $served_exec executed across 2 responses, $planned planned"; exit 1; }
 echo "serve answered 2 clients over $planned runs exactly-once ($served_exec executed total)"
+
+echo "== serve warm request (answered from the warm cache, journal untouched, byte-diff vs cold) =="
+cp "$SERVE/artifacts.journal" /tmp/repro_serve_journal.copy
+journal_id=$(stat -c '%i %Y' "$SERVE/artifacts.journal")
+"$REPRO" serve --cache-dir "$SERVE" --poll-ms 10 --max-requests 1 --jobs 4 \
+  2>/tmp/repro_serve_warm_daemon.err &
+serve_pid=$!
+"$REPRO" submit all --id smoke-w --cache-dir "$SERVE" >/dev/null 2>&1
+"$REPRO" wait smoke-w --cache-dir "$SERVE" --poll-ms 10 \
+  >/tmp/repro_serve_w.txt 2>/tmp/repro_serve_w.err \
+  || { echo "wait smoke-w failed"; cat /tmp/repro_serve_w.err; exit 1; }
+wait "$serve_pid" || { echo "warm serve daemon failed"; cat /tmp/repro_serve_warm_daemon.err; exit 1; }
+cmp /tmp/repro_serial.txt /tmp/repro_serve_w.txt \
+  || { echo "warm serve response differs from the serial cold run"; exit 1; }
+cmp /tmp/repro_serve_journal.copy "$SERVE/artifacts.journal" \
+  || { echo "a warm serve request rewrote the journal"; exit 1; }
+[ "$(stat -c '%i %Y' "$SERVE/artifacts.journal")" = "$journal_id" ] \
+  || { echo "a warm serve request replaced the journal file (inode or mtime moved)"; exit 1; }
+grep -q "executed 0," /tmp/repro_serve_w.err \
+  || { echo "a warm serve request executed runs"; cat /tmp/repro_serve_w.err; exit 1; }
+rm -f /tmp/repro_serve_journal.copy
+echo "warm serve request answered byte-identically without touching the journal"
 
 echo "== serve SIGKILL recovery (kill mid-request, restart, byte-diff vs cold) =="
 KILLCACHE=/tmp/repro_serve_kill
