@@ -5,7 +5,7 @@
 //! A *case* is one seed → one generated program → one observation per
 //! witness. The classic witness set is six columns (the checked
 //! reference evaluation, then nativeref, MIPSI, Javelin, Perlite,
-//! Tclite via [`interp_workloads::try_run_source`]); a
+//! Tclite via [`interp_workloads::try_run_source_dispatch`]); a
 //! [`DispatchSelection`] widens it so every supported
 //! `(language, dispatch strategy)` combination becomes its *own*
 //! witness — threaded MIPSI must agree with naive MIPSI, and with

@@ -12,8 +12,9 @@
 //! 3. [`lower`] turns one IR program into mini-C (shared by nativeref
 //!    and MIPSI), Joule, Perl, and Tcl sources.
 //! 4. [`engine`] runs all five through the guarded
-//!    [`interp_workloads::try_run_source`] path and asserts the console
-//!    digests agree — pairwise, and against the reference evaluation.
+//!    [`interp_workloads::try_run_source_dispatch`] path and asserts the
+//!    console digests agree — pairwise, and against the reference
+//!    evaluation.
 //! 5. [`shrink`] reduces any divergent program to a minimal reproducer.
 //!
 //! The `repro conform --seeds N` subcommand sweeps seeds and prints the

@@ -100,10 +100,10 @@
 //! still unexecuted when its deadline passes is answered with a typed
 //! `deadline-expired` rejection instead of stale work. Malformed or
 //! unknown-target requests get typed rejections, never a daemon crash.
-//! Each member heartbeats every scan, and the fleet drains cleanly on
-//! `serve --stop` (the last member out consumes the marker). `wait ID`
-//! blocks for a response with jittered exponential backoff and replays
-//! its body/accounting onto stdout/stderr.
+//! Each member heartbeats from a background thread, and the fleet
+//! drains cleanly on `serve --stop` (the last member out consumes the
+//! marker). `wait ID` blocks for a response with jittered exponential
+//! backoff and replays its body/accounting onto stdout/stderr.
 //!
 //! Exit status: 0 success (or degraded-but-complete), 1 sweep failure,
 //! 2 usage error, 3 degraded under `--strict`, 4 journal I/O error,

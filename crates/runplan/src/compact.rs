@@ -56,10 +56,11 @@ impl CompactReport {
     }
 }
 
-/// Delete outbox responses (and their progress markers) whose mtime is
-/// older than `keep` — abandoned `*.resp` files a waiter never
-/// collected. Files the clock can't judge are kept; sweeping is
-/// best-effort (a racing collector may have already removed one).
+/// Delete outbox responses whose mtime is older than `keep` — abandoned
+/// `*.resp` files a waiter never collected — and the `*.progress`
+/// markers daemons of older builds wrote beside them. Files the clock
+/// can't judge are kept; sweeping is best-effort (a racing collector
+/// may have already removed one).
 fn sweep_outbox(dir: &Path, keep: Duration) -> usize {
     let outbox = dir.join(crate::serve::OUTBOX_DIR);
     let Ok(entries) = std::fs::read_dir(&outbox) else {

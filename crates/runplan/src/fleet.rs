@@ -17,8 +17,8 @@
 //! work directory, so two members can never admit the same request.
 //! Liveness is judged the same way the lock judges it — `/proc/<pid>`
 //! — with the per-member heartbeat as a second signal: a member whose
-//! pid is dead, or whose heartbeat is older than the configured
-//! staleness horizon, is *dead to the fleet*. Any live member sweeps a
+//! pid is dead, or whose heartbeat is older than the staleness horizon
+//! ([`DEFAULT_MEMBER_STALE`]), is *dead to the fleet*. Any live member sweeps a
 //! dead member's claimed work back to the inbox (exactly-once: the
 //! rename from the dead member's work dir succeeds for one sweeper)
 //! and retires its registry entries, so `kill -9` of any daemon

@@ -93,9 +93,9 @@
 //! * **Liveness**: every member publishes `serve/fleet/<token>`, and a
 //!   background thread rewrites its per-member heartbeat on a fixed
 //!   interval — execution time never counts as staleness, however long
-//!   a batch runs. The scan loop also rewrites the aggregate
-//!   `serve/heartbeat` every scan; its first write marks the scan loop
-//!   as started. `repro status` reports the fleet read-only via
+//!   a batch runs. Each daemon writes `serve/heartbeat` once, when its
+//!   start-up (the stale-stop sweep) is done, to mark itself ready.
+//!   `repro status` reports the fleet read-only via
 //!   [`serve_status`] as a per-member table. A member whose registration was
 //!   nonetheless retired by a peer detects the loss at its next scan
 //!   and re-registers under a fresh token instead of spinning as a
@@ -103,8 +103,8 @@
 //! * **Crash recovery**: a request is *claimed* by an atomic rename
 //!   from `inbox/` into the member's `work/<token>/` directory. A
 //!   daemon killed mid-request leaves the claimed file behind; any live
-//!   member detects the death (pid gone, or heartbeat past
-//!   [`ServeConfig::member_stale_after`]), moves the orphans back to
+//!   member detects the death (pid gone, or heartbeat older than
+//!   [`fleet::DEFAULT_MEMBER_STALE`]), moves the orphans back to
 //!   the inbox exactly-once, and re-serves them, with runs the dead
 //!   daemon already journaled reused — the response is byte-identical
 //!   to a cold batch run.
@@ -132,9 +132,10 @@ pub const INBOX_DIR: &str = "serve/inbox";
 pub const OUTBOX_DIR: &str = "serve/outbox";
 /// Claimed-but-unfinished requests, one subdirectory per fleet member.
 pub const WORK_DIR: &str = "serve/work";
-/// The aggregate heartbeat, rewritten every scan by every member. Its
-/// first write marks a daemon's scan loop as started (the per-member
-/// liveness truth lives in `serve/fleet/`).
+/// The readiness marker: every daemon writes it once, after start-up has
+/// swept stale stop markers and before its first scan. Readers only test
+/// that it exists (the per-member liveness truth lives in
+/// `serve/fleet/`).
 pub const HEARTBEAT_FILE: &str = "serve/heartbeat";
 /// Stop request marker (`repro serve --stop`).
 pub const STOP_FILE: &str = "serve/stop";
@@ -674,9 +675,6 @@ pub struct ServeConfig {
     /// Admitted requests executed concurrently per scan
     /// (`--serve-jobs`): 1 is the sequential daemon.
     pub serve_jobs: usize,
-    /// How stale a live member's heartbeat may grow before the fleet
-    /// treats it as dead and re-adopts its claimed work.
-    pub member_stale_after: Duration,
     /// How many times a degraded result with *transient* failures is
     /// re-driven (with exponential backoff) before the response ships
     /// degraded.
@@ -700,7 +698,6 @@ impl ServeConfig {
             max_requests: None,
             jobs: crate::pool::default_jobs(),
             serve_jobs: 1,
-            member_stale_after: fleet::DEFAULT_MEMBER_STALE,
             request_retries: 2,
             supervise: SuperviseConfig::default(),
             lock_timeout: crate::lock::DEFAULT_LOCK_TIMEOUT,
@@ -758,7 +755,6 @@ struct ServeDirs {
     inbox: PathBuf,
     outbox: PathBuf,
     work: PathBuf,
-    heartbeat: PathBuf,
     stop: PathBuf,
 }
 
@@ -768,7 +764,6 @@ impl ServeDirs {
             inbox: cache_dir.join(INBOX_DIR),
             outbox: cache_dir.join(OUTBOX_DIR),
             work: cache_dir.join(WORK_DIR),
-            heartbeat: cache_dir.join(HEARTBEAT_FILE),
             stop: cache_dir.join(STOP_FILE),
         }
     }
@@ -780,15 +775,6 @@ impl ServeDirs {
         }
         Ok(dirs)
     }
-}
-
-/// Rewrite the aggregate heartbeat file (best-effort: a failed
-/// heartbeat must not kill the daemon).
-fn write_heartbeat(dirs: &ServeDirs, tick: u64) {
-    let _ = std::fs::write(
-        &dirs.heartbeat,
-        format!("pid {}\ntick {tick}\nunix_ms {}\n", std::process::id(), unix_ms()),
-    );
 }
 
 /// List `*.req` entries of `dir`, sorted by file name (deterministic
@@ -815,14 +801,6 @@ fn publish_response(dirs: &ServeDirs, response: &ServeResponse) -> Result<(), Jo
         &dirs.outbox.join(format!("{}.resp", response.id)),
         &encode_response(response),
     )
-}
-
-/// Overwrite the per-request progress file (informational, best-effort).
-fn note_progress(dirs: &ServeDirs, id: &str, state: &str) {
-    let _ = std::fs::write(
-        dirs.outbox.join(format!("{id}.progress")),
-        format!("state {state}\nunix_ms {}\n", unix_ms()),
-    );
 }
 
 /// Execute an admitted request's plan with bounded retry: a degraded
@@ -885,7 +863,6 @@ fn process_request(
     path: &Path,
     parsed: &Result<ServeRequest, Reject>,
 ) -> Result<ProcessOutcome, JournalError> {
-    note_progress(dirs, id, "admitted");
     let mut lock_free = false;
     let outcome = match parsed {
         Err(reject) => ServeOutcome::Rejected(reject.clone()),
@@ -905,7 +882,6 @@ fn process_request(
         Ok(request) => match service.plan(request) {
             Err(reject) => ServeOutcome::Rejected(reject),
             Ok(plan) => {
-                note_progress(dirs, id, "executing");
                 match execute_with_retry(&plan, config, image_cache) {
                     Ok((executed, report)) => {
                         lock_free = report.lock_free;
@@ -922,7 +898,6 @@ fn process_request(
                     // nothing yet.
                     Err(e) if e.kind == JournalErrorKind::LockTimeout => {
                         let _ = std::fs::rename(path, dirs.inbox.join(format!("{id}.req")));
-                        note_progress(dirs, id, "requeued");
                         return Ok(ProcessOutcome::Requeued);
                     }
                     Err(e) => return Err(e),
@@ -933,7 +908,6 @@ fn process_request(
     let served = matches!(outcome, ServeOutcome::Ok { .. });
     publish_response(dirs, &ServeResponse { id: id.to_string(), outcome })?;
     let _ = std::fs::remove_file(path);
-    note_progress(dirs, id, if served { "done" } else { "rejected" });
     Ok(if served { ProcessOutcome::Served { lock_free } } else { ProcessOutcome::Rejected })
 }
 
@@ -976,13 +950,19 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
     let registered_ms = unix_ms();
     let mut membership = FleetMembership::register(&config.cache_dir)?;
     sweep_stale_stop(&dirs, &config.cache_dir, &membership.token, registered_ms);
+    // Ready: stale stop markers are swept, so a stop written from now on
+    // drains this daemon. Best-effort: a failed write must not kill it.
+    let _ = std::fs::write(
+        config.cache_dir.join(HEARTBEAT_FILE),
+        format!("pid {}\nunix_ms {}\n", std::process::id(), unix_ms()),
+    );
     let mut report = ServeReport::default();
     // One decoded journal image shared by every request this member
     // serves: a warm request re-decodes only after a new publish.
     let image_cache = Arc::new(ImageCache::default());
     // Heartbeat from a background thread: execution time never counts
     // as staleness, however long an admitted batch runs.
-    let mut pulse = membership.spawn_pulse(config.member_stale_after);
+    let mut pulse = membership.spawn_pulse(fleet::DEFAULT_MEMBER_STALE);
     let mut tick = 0u64;
     'daemon: loop {
         // A peer that judged this member wedged has retired its
@@ -994,18 +974,17 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
             // heartbeat file after the old membership is dropped.
             drop(pulse);
             membership = FleetMembership::register(&config.cache_dir)?;
-            pulse = membership.spawn_pulse(config.member_stale_after);
+            pulse = membership.spawn_pulse(fleet::DEFAULT_MEMBER_STALE);
         }
         pulse.record(
             tick,
             (report.served + report.rejected) as u64,
             scan_requests(&membership.work_dir).len(),
         );
-        write_heartbeat(&dirs, tick);
         tick = tick.wrapping_add(1);
         report.adopted += fleet::sweep_dead_members(
             &config.cache_dir,
-            config.member_stale_after,
+            fleet::DEFAULT_MEMBER_STALE,
             Some(&membership.token),
         );
         if dirs.stop.exists() {
@@ -1204,7 +1183,7 @@ pub struct ServeStatus {
     pub members: Vec<FleetMemberInfo>,
     /// Pending requests in the inbox.
     pub inbox: usize,
-    /// Responses (and progress markers aside) in the outbox.
+    /// Responses in the outbox.
     pub outbox: usize,
     /// Claimed-but-unfinished requests across every member's work dir.
     pub in_flight: usize,
@@ -1812,6 +1791,13 @@ mod tests {
         assert_eq!((warm.served, warm.lock_free), (2, 2), "{warm:?}");
         assert_eq!(identity(), before, "a warm request touched the journal");
         assert!(!dir.join(crate::lock::LOCK_FILE).exists());
+        // Each request leaves its response in the outbox and nothing else.
+        let mut outbox: Vec<String> = std::fs::read_dir(dir.join(OUTBOX_DIR))
+            .expect("outbox")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        outbox.sort();
+        assert_eq!(outbox, ["cold.resp", "warm-a.resp", "warm-b.resp"]);
         let body = |id: &str| match wait(&dir, id, Duration::from_secs(5), Duration::from_millis(1)) {
             Ok(WaitOutcome::Response(ServeResponse {
                 outcome: ServeOutcome::Ok { body, accounting, .. },

@@ -1,25 +1,25 @@
-//! The guarded runner: the same workloads as [`crate::runner`], but with
-//! explicit resource [`Limits`], deterministic fault injection, and a
-//! panic barrier — every ending, good or bad, comes back as a structured
-//! [`RunOutcome`] instead of a crash.
+//! The guarded runner: the same workloads, machine set-up and engines
+//! as [`crate::runner`] (it calls the runner's one run function), behind
+//! a panic barrier and with deterministic fault injection — every
+//! ending, good or bad, comes back as a structured [`RunOutcome`]
+//! instead of a crash.
 //!
 //! This is the entry point the fault-injection harness (`repro guard`)
 //! sweeps: corrupt a guest according to a seeded [`FaultPlan`], run it
-//! under a bounded machine, and report exactly how it ended. A
+//! under bounded [`Limits`], and report exactly how it ended. A
 //! [`GuardedRun`] carries the same [`RunArtifact`] shape as an unguarded
 //! run — counters, interned commands, console digest — captured as far as
 //! the run got, wrapped in the [`RunOutcome`] that says how it ended.
+//! Unlike the runner it applies no `BAD` self-check: a corrupted guest
+//! that completes with a wrong answer is still a completion.
 
 use interp_core::{
-    CommandSet, ConsoleDigest, Language, NullSink, RunArtifact, WorkloadId, WorkloadKind,
+    DispatchFault, DispatchStrategy, Language, NullSink, RunArtifact, WorkloadId, WorkloadKind,
 };
 use interp_guard::{FaultPlan, GuardError, Limits, RunOutcome};
-use interp_host::Machine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::runner::{
-    joule_workload, macro_names, minic_workload, perl_workload, tcl_workload, Scale,
-};
+use crate::runner::{guest, macro_names, run_source_dispatch, Scale};
 
 /// Everything a guarded run reports: the structured ending plus the same
 /// memoizable artifact shape normal runs produce.
@@ -28,8 +28,8 @@ pub struct GuardedRun {
     /// How the run ended.
     pub outcome: RunOutcome,
     /// Counters, commands, and console digest as far as the run got;
-    /// [`RunArtifact::empty`] if the run died in a panic before the
-    /// machine could be inspected.
+    /// [`RunArtifact::empty`] if the guest did not compile or the run
+    /// died in a panic before the machine could be inspected.
     pub artifact: RunArtifact,
 }
 
@@ -69,11 +69,6 @@ pub fn guarded_suite(language: Language, scale: Scale) -> Vec<WorkloadId> {
         .collect()
 }
 
-/// Instruction/bytecode budget handed to the interpreters that take one.
-/// Deliberately far above `Limits::guarded()`'s host-step budget so the
-/// unified guard — not each interpreter's legacy budget — is what trips.
-const LEGACY_BUDGET: u64 = u64::MAX / 2;
-
 /// Run one macro workload under `limits` with `plan`'s corruption
 /// applied, converting every possible ending into a [`RunOutcome`].
 ///
@@ -98,15 +93,30 @@ pub fn run_guarded(workload: WorkloadId, limits: Limits, plan: &FaultPlan) -> Gu
     }
     let plan = *plan;
     let result = catch_unwind(AssertUnwindSafe(move || {
-        run_inner(workload.language, workload.name, workload.scale, limits, &plan)
+        let guest = guest(workload)?;
+        run_source_dispatch(
+            workload.language,
+            guest,
+            limits,
+            DispatchStrategy::Naive,
+            DispatchFault::None,
+            &plan,
+            NullSink,
+        )
     }));
-    match result {
-        Ok(run) => run,
-        Err(payload) => GuardedRun {
-            outcome: RunOutcome::Panicked(panic_message(payload.as_ref())),
-            artifact: RunArtifact::empty(),
-        },
-    }
+    let (outcome, artifact) = match result {
+        Ok(Ok((result, exit))) => (
+            exit.map_or_else(RunOutcome::Faulted, |exit| RunOutcome::Completed { exit }),
+            result.base_artifact(),
+        ),
+        // The guest never reached a machine: it did not compile.
+        Ok(Err(e)) => (RunOutcome::Faulted(e), RunArtifact::empty()),
+        Err(payload) => (
+            RunOutcome::Panicked(panic_message(payload.as_ref())),
+            RunArtifact::empty(),
+        ),
+    };
+    GuardedRun { outcome, artifact }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -116,143 +126,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Build the machine for a guarded run: limits, guest files, events, and
-/// any planned allocation failure.
-fn guarded_machine(
-    limits: Limits,
-    plan: &FaultPlan,
-    files: Vec<(String, Vec<u8>)>,
-    events: Vec<interp_host::UiEvent>,
-) -> Machine<NullSink> {
-    let mut m = Machine::with_limits(NullSink, limits);
-    if let Some(nth) = plan.alloc_fail_at() {
-        m.inject_alloc_failure(nth);
-    }
-    for (fname, contents) in files {
-        m.fs_add_file(&fname, contents);
-    }
-    for e in events {
-        m.post_event(e);
-    }
-    m
-}
-
-fn report<E: Into<GuardError>>(
-    m: &mut Machine<NullSink>,
-    commands: CommandSet,
-    program_bytes: usize,
-    res: Result<i32, E>,
-) -> GuardedRun {
-    let console = String::from_utf8_lossy(&m.take_console()).into_owned();
-    GuardedRun {
-        outcome: match res {
-            Ok(exit) => RunOutcome::Completed { exit },
-            Err(e) => RunOutcome::Faulted(e.into()),
-        },
-        artifact: RunArtifact {
-            stats: m.stats().clone(),
-            commands,
-            console: ConsoleDigest::of(&console),
-            program_bytes,
-            cycles: None,
-            sweep: None,
-        },
-    }
-}
-
-fn run_inner(
-    language: Language,
-    name: &str,
-    scale: Scale,
-    limits: Limits,
-    plan: &FaultPlan,
-) -> GuardedRun {
-    match language {
-        Language::C => {
-            let (src, files) = minic_workload(name, scale);
-            let mut image = match interp_minic::compile(&src) {
-                Ok(image) => image,
-                Err(e) => return compile_fault("c", e.to_string()),
-            };
-            plan.corrupt_words(&mut image.text);
-            let program_bytes = image.size_bytes() as usize;
-            let mut m = guarded_machine(limits, plan, files, vec![]);
-            let mut exec = interp_nativeref::DirectExecutor::new(&image, &mut m);
-            let res = exec.run(LEGACY_BUDGET);
-            let commands = exec.commands().clone();
-            drop(exec);
-            report(&mut m, commands, program_bytes, res)
-        }
-        Language::Mipsi => {
-            let (src, files) = minic_workload(name, scale);
-            let mut image = match interp_minic::compile(&src) {
-                Ok(image) => image,
-                Err(e) => return compile_fault("mipsi", e.to_string()),
-            };
-            plan.corrupt_words(&mut image.text);
-            let program_bytes = image.size_bytes() as usize;
-            let mut m = guarded_machine(limits, plan, files, vec![]);
-            let mut emu = interp_mipsi::Mipsi::new(&image, &mut m);
-            let res = emu.run(LEGACY_BUDGET);
-            let commands = emu.commands().clone();
-            drop(emu);
-            report(&mut m, commands, program_bytes, res)
-        }
-        Language::Javelin => {
-            let (src, files, events) = joule_workload(name, scale);
-            let mut prog = match interp_javelin::compile(&src) {
-                Ok(prog) => prog,
-                Err(e) => return compile_fault("javelin", e.to_string()),
-            };
-            for f in &mut prog.functions {
-                plan.corrupt_bytes(&mut f.code);
-            }
-            let program_bytes = prog.code_bytes();
-            let mut m = guarded_machine(limits, plan, files, events);
-            let mut vm = interp_javelin::Jvm::new(&mut m, prog);
-            let res = vm.run(LEGACY_BUDGET);
-            let commands = vm.commands().clone();
-            drop(vm);
-            report(&mut m, commands, program_bytes, res)
-        }
-        Language::Perlite => {
-            let (mut src, files) = perl_workload(name, scale);
-            plan.corrupt_text(&mut src);
-            let program_bytes = src.len();
-            let mut m = guarded_machine(limits, plan, files, vec![]);
-            let (commands, res) = match interp_perlite::Perlite::new(&mut m, &src) {
-                Ok(mut p) => {
-                    let r = p.run().map(|()| 0);
-                    let commands = p.commands().clone();
-                    drop(p);
-                    (commands, r)
-                }
-                Err(e) => (CommandSet::new("perlite"), Err(e)),
-            };
-            report(&mut m, commands, program_bytes, res)
-        }
-        Language::Tclite => {
-            let (mut src, files, events) = tcl_workload(name, scale);
-            plan.corrupt_text(&mut src);
-            let program_bytes = src.len();
-            let mut m = guarded_machine(limits, plan, files, events);
-            let (commands, res) = {
-                let mut tcl = interp_tclite::Tclite::new(&mut m);
-                let res = tcl.run(&src).map(|_| 0);
-                (tcl.commands().clone(), res)
-            };
-            report(&mut m, commands, program_bytes, res)
-        }
-    }
-}
-
-fn compile_fault(lang: &'static str, detail: String) -> GuardedRun {
-    GuardedRun {
-        outcome: RunOutcome::Faulted(GuardError::BadProgram { lang, detail }),
-        artifact: RunArtifact::empty(),
     }
 }
 
@@ -287,17 +160,27 @@ mod tests {
     #[test]
     fn guarded_artifact_matches_unguarded_run() {
         // A clean guarded run must report the same counters and console
-        // digest as the normal runner: one workload API, one shape.
-        let id = des(Language::Mipsi);
-        let guarded = run_guarded(id, Limits::guarded(), &FaultPlan::none());
-        let normal = crate::runner::Runner::run(id, NullSink).base_artifact();
-        assert_eq!(
-            guarded.artifact.stats.instructions,
-            normal.stats.instructions
-        );
-        assert_eq!(guarded.artifact.stats.commands, normal.stats.commands);
-        assert_eq!(guarded.artifact.console, normal.console);
-        assert_eq!(guarded.artifact.program_bytes, normal.program_bytes);
+        // digest as the normal runner, on every engine: one workload API,
+        // one shape.
+        for lang in Language::ALL {
+            let id = des(lang);
+            let guarded = run_guarded(id, Limits::guarded(), &FaultPlan::none());
+            let normal = crate::runner::Runner::try_run_dispatch(
+                id,
+                Limits::unlimited(),
+                DispatchStrategy::Naive,
+                NullSink,
+            )
+            .expect("clean run")
+            .base_artifact();
+            assert_eq!(
+                guarded.artifact.stats.instructions, normal.stats.instructions,
+                "{lang}"
+            );
+            assert_eq!(guarded.artifact.stats.commands, normal.stats.commands, "{lang}");
+            assert_eq!(guarded.artifact.console, normal.console, "{lang}");
+            assert_eq!(guarded.artifact.program_bytes, normal.program_bytes, "{lang}");
+        }
     }
 
     #[test]

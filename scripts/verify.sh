@@ -46,7 +46,8 @@
 #                        orphaned claim, again byte-identical. One more
 #                        `all` request against the warm cache must come
 #                        back byte-identical while the journal's bytes,
-#                        inode and mtime stay unchanged.
+#                        inode and mtime stay unchanged, and the outbox
+#                        must hold responses only (no progress files).
 #   fleet smoke        — two `repro serve` daemons join one cache as a
 #                        failover fleet; one is SIGKILLed mid-burst and
 #                        the survivor adopts its claimed work: every
@@ -221,6 +222,9 @@ cmp /tmp/repro_serve_journal.copy "$SERVE/artifacts.journal" \
   || { echo "a warm serve request replaced the journal file (inode or mtime moved)"; exit 1; }
 grep -q "executed 0," /tmp/repro_serve_w.err \
   || { echo "a warm serve request executed runs"; cat /tmp/repro_serve_w.err; exit 1; }
+if compgen -G "$SERVE/serve/outbox/*.progress" >/dev/null; then
+  echo "serve left per-request progress files in the outbox"; ls "$SERVE/serve/outbox"; exit 1
+fi
 rm -f /tmp/repro_serve_journal.copy
 echo "warm serve request answered byte-identically without touching the journal"
 

@@ -2,9 +2,12 @@
 //! instruction stream the sink receives are two views of the same events,
 //! for every interpreter in the workspace.
 
-use interpreters::core::{CountingSink, Language, NullSink, TeeSink, VecSink};
+use interpreters::core::{
+    CountingSink, DispatchStrategy, Language, NullSink, TeeSink, VecSink, WorkloadId,
+};
+use interpreters::guard::Limits;
 use interpreters::host::Machine;
-use interpreters::workloads::{run_macro, run_micro, Scale};
+use interpreters::workloads::{run_macro, Runner, Scale};
 
 #[test]
 fn stats_and_sink_agree_for_every_interpreter() {
@@ -45,7 +48,10 @@ fn phases_partition_all_instructions() {
 fn per_command_counters_sum_to_phase_totals() {
     use interpreters::core::Phase;
     for lang in [Language::Mipsi, Language::Javelin] {
-        let result = run_micro(lang, "a=b+c", Scale::Test, NullSink);
+        let micro = WorkloadId::micro(lang, "a=b+c", Scale::Test);
+        let result =
+            Runner::try_run_dispatch(micro, Limits::unlimited(), DispatchStrategy::Naive, NullSink)
+                .expect("micro run");
         let fd_sum: u64 = result
             .stats
             .commands_iter()
