@@ -1,14 +1,16 @@
 //! Journal compaction: rewrite the journal keeping only valid
 //! current-epoch records (first record per fingerprint), dropping
 //! duplicates, stale-epoch records, and torn or corrupt tails — via the
-//! same write-temp + fsync + atomic-rename discipline every append
-//! uses, under the same advisory lock, so compaction can race a live
-//! appender without losing either side's records.
+//! same write-temp + fsync + atomic-rename discipline every open and
+//! close uses, under the same advisory lock, so compaction can race a
+//! live appender without losing either side's records.
 //!
-//! Because every publish already emits the *canonical* image (records in
-//! fingerprint order), a journal that is clean compacts in O(append
-//! check): the canonical re-encoding is byte-compared against the file
-//! and, when identical, nothing is rewritten.
+//! Because every open and every close publishes the *canonical* image
+//! (records in fingerprint order), a journal whose last writer closed
+//! cleanly compacts in O(byte-compare): the canonical re-encoding is
+//! compared against the file and, when identical, nothing is rewritten.
+//! A journal still being appended to, or left behind by a crashed
+//! campaign, holds its records in completion order; compaction sorts it.
 
 use crate::journal::{encode_image, io_err, lock_err, JournalDefect, JournalError, JOURNAL_FILE};
 use crate::lock::{self, fresh_token, sweep_lock_debris, Claims, LockConfig, Sessions};
@@ -314,7 +316,12 @@ mod tests {
         // ...and a compaction right after must keep all three records.
         let report = compact(&dir, EPOCH, TIMEOUT).expect("compact");
         assert_eq!(report.records, 3);
-        assert!(!report.rewritten, "locked appends already publish canonically");
+        // Closing the writer republishes the canonical image, which a
+        // compaction leaves alone.
+        writer.close().expect("close");
+        let report = compact(&dir, EPOCH, TIMEOUT).expect("compact");
+        assert_eq!(report.records, 3);
+        assert!(!report.rewritten, "a closed writer publishes canonically");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,13 +17,16 @@
 //! u64  checksum  — FNV-1a over version..payload
 //! ```
 //!
-//! Every append rewrites the full image to a temp file, fsyncs, and
-//! atomically renames it over the journal, so the on-disk file is always
-//! either the old image or the new one — never a half-written tail from
-//! *our* writer. A torn tail can still appear if the host dies mid-write
-//! of the temp file before the rename, or if an external process
-//! truncates the journal; the loader treats that (and every other
-//! corruption) as a *recoverable, typed* event.
+//! An append writes one record at the end of the file and syncs its
+//! data — nothing else is rewritten. Every other change to the file (the
+//! canonical image an open, a close or `compact` publishes, and every
+//! heal or truncation) writes a temp file, fsyncs it and renames it over
+//! the journal. So the only in-place writes are whole-record appends
+//! made under the lock, and a reader sees a clean prefix of the record
+//! sequence, possibly ending in a torn tail while an append is still in
+//! progress. A torn tail also remains if a writer dies mid-append, or if
+//! an external process truncates the journal; the loader treats that
+//! (and every other corruption) as a *recoverable, typed* event.
 //!
 //! # Lock-free reads
 //!
@@ -32,22 +35,33 @@
 //! the image without it and, if the image has no defect and holds a
 //! label-matching record for every planned request, returns at once —
 //! no lock, no writer session, no sweep, no republish, no fsync. This is
-//! safe because images are only ever published by rename (a reader sees
-//! one whole image) and, within an epoch, a record is never rewritten:
-//! it is only added (or dropped by a cold run's truncating open), so any
-//! record read is a correct answer. Any miss or defect takes the locked
-//! path below, which heals.
+//! safe because a reader sees either a whole renamed image or a clean
+//! prefix of appended records, and, within an epoch, a record is never
+//! rewritten: it is only added (or dropped by a cold run's truncating
+//! open), so any record read is a correct answer. A torn tail may be an
+//! append in progress, so it is not reported here; like any miss or
+//! other defect it takes the locked path below, which waits out the
+//! append and heals only what is still damaged under the lock.
 //!
 //! # Multi-process coordination
 //!
-//! Several `repro` processes may share one cache directory. Every
-//! republish happens under the advisory [`crate::lock`] file lock, and
-//! every acquisition starts with *merge-on-reload*: re-read the journal,
-//! fold in records another process landed since our last read, and only
-//! then append — so concurrent writers interleave without ever losing
-//! each other's records. The published image is always the *canonical*
-//! encoding (records in fingerprint order), which makes the final
-//! journal byte-identical no matter how appends interleaved.
+//! Several `repro` processes may share one cache directory. Every write
+//! happens under the advisory [`crate::lock`] file lock, and every
+//! acquisition starts with *merge-on-reload*: fold in the records another
+//! process landed since our last read, and only then append — so
+//! concurrent writers interleave without ever losing each other's
+//! records. A writer remembers the inode and length of the file as it
+//! last read or wrote it, so the merge reads only what changed: nothing
+//! when the file is as it left it, only the new bytes when the same file
+//! grew by appends, and the whole file (healed by a canonical republish
+//! if it holds a defect) when the file was replaced or shrank.
+//!
+//! Appends land in completion order, so a campaign's file is not sorted.
+//! Closing a writer ([`JournalWriter::close`], at the end of every
+//! journaled execution) republishes the *canonical* encoding (records in
+//! fingerprint order), which makes the final journal byte-identical no
+//! matter how appends interleaved. A crashed campaign leaves a clean but
+//! unsorted prefix; the next open, or `compact`, canonicalizes it.
 //!
 //! On top of the lock, [`JournalSession`] coordinates *exactly-once
 //! execution*: before running a request, a session consults the journal
@@ -323,10 +337,10 @@ pub fn encode_record(epoch: u64, fingerprint: u64, label: &str, artifact: &RunAr
 
 /// Encode the *canonical* journal image of a record set: the magic
 /// header followed by every record in fingerprint order. Because every
-/// publish emits this form, the on-disk journal is a pure function of
-/// its record set — byte-identical however many writers interleaved to
-/// produce it, which is also what makes compaction's clean-journal fast
-/// path a plain byte comparison.
+/// open, close and compaction publishes this form, a closed journal is a
+/// pure function of its record set — byte-identical however many writers
+/// interleaved to produce it, which is also what makes compaction's
+/// clean-journal fast path a plain byte comparison.
 pub fn encode_image(records: &BTreeMap<u64, JournalRecord>, epoch: u64) -> Vec<u8> {
     let mut bytes = MAGIC.to_vec();
     for record in records.values() {
@@ -410,16 +424,24 @@ pub fn load_bytes(bytes: &[u8], epoch: u64) -> LoadedJournal {
         });
         return out;
     }
-    let mut off = MAGIC.len();
+    load_records(&bytes[MAGIC.len()..], MAGIC.len(), epoch, &mut out);
+    out
+}
+
+/// Parse a run of records (no header) into `out`, which sits at byte
+/// `base` of the journal file: defect offsets are file offsets, and a
+/// fingerprint already in `out` is a duplicate.
+fn load_records(bytes: &[u8], base: usize, epoch: u64, out: &mut LoadedJournal) {
+    let mut off = 0;
     while off < bytes.len() {
         let remaining = bytes.len() - off;
         if remaining < 4 {
             out.defects.push(JournalDefect {
                 kind: JournalDefectKind::TornTail,
-                offset: off,
+                offset: base + off,
                 detail: format!("torn length prefix ({remaining} trailing byte(s))"),
             });
-            return out;
+            return;
         }
         let len_rest =
             u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]])
@@ -427,19 +449,19 @@ pub fn load_bytes(bytes: &[u8], epoch: u64) -> LoadedJournal {
         if len_rest > remaining - 4 {
             out.defects.push(JournalDefect {
                 kind: JournalDefectKind::TornTail,
-                offset: off,
+                offset: base + off,
                 detail: format!(
                     "record claims {len_rest} bytes but only {} remain",
                     remaining - 4
                 ),
             });
-            return out;
+            return;
         }
         let next = off + 4 + len_rest;
         if len_rest < MIN_RECORD_REST {
             out.defects.push(JournalDefect {
                 kind: JournalDefectKind::BadChecksum,
-                offset: off,
+                offset: base + off,
                 detail: format!("record too short to be well-formed ({len_rest} bytes)"),
             });
             off = next;
@@ -453,7 +475,7 @@ pub fn load_bytes(bytes: &[u8], epoch: u64) -> LoadedJournal {
         if fnv1a(content) != stored {
             out.defects.push(JournalDefect {
                 kind: JournalDefectKind::BadChecksum,
-                offset: off,
+                offset: base + off,
                 detail: "record checksum mismatch".to_string(),
             });
             off = next;
@@ -486,11 +508,10 @@ pub fn load_bytes(bytes: &[u8], epoch: u64) -> LoadedJournal {
             Err(defect) => Some(defect),
         };
         if let Some((kind, detail)) = defect {
-            out.defects.push(JournalDefect { kind, offset: off, detail });
+            out.defects.push(JournalDefect { kind, offset: base + off, detail });
         }
         off = next;
     }
-    out
 }
 
 /// Decode the checksummed interior of one record, classifying failures.
@@ -542,10 +563,11 @@ pub fn load_file(path: &Path, epoch: u64) -> Result<LoadedJournal, JournalError>
 }
 
 /// The crash-consistent, lock-coordinated journal writer: holds the
-/// record set in memory and republishes the canonical image atomically
-/// (write temp → fsync → rename) on every append, with the advisory
-/// file lock held and a merge-on-reload pass folding in records other
-/// processes landed since our last read.
+/// record set in memory, appends each new record in place (one write and
+/// one data sync, with the advisory file lock held and a merge-on-reload
+/// pass folding in records other processes landed since our last read),
+/// and republishes the canonical image atomically (write temp → fsync →
+/// rename) only on open, on close, and to heal a defect.
 #[derive(Debug)]
 pub struct JournalWriter {
     path: PathBuf,
@@ -553,6 +575,19 @@ pub struct JournalWriter {
     lock: LockConfig,
     records: BTreeMap<u64, JournalRecord>,
     appended: u64,
+    /// The file as this writer last read or wrote it (`None`: unknown,
+    /// the next merge reads the whole file).
+    known: Option<FileMark>,
+    /// The file as this writer last published it canonically.
+    published: Option<FileMark>,
+}
+
+/// Which journal file, and how much of it: appends keep the inode and
+/// grow the length, a republish is a new inode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileMark {
+    inode: u64,
+    len: u64,
 }
 
 impl JournalWriter {
@@ -604,22 +639,24 @@ impl JournalWriter {
         let join = !resume && sessions.live_others(token) > 0;
         let loaded =
             if resume || join { load_file(&path, epoch)? } else { LoadedJournal::default() };
-        let writer = JournalWriter {
+        let mut writer = JournalWriter {
             path,
             epoch,
             lock: lock_config,
             records: loaded.records.clone(),
             appended: 0,
+            known: None,
+            published: None,
         };
-        writer.persist()?;
+        writer.publish()?;
         drop(guard);
         Ok((writer, loaded))
     }
 
     /// Append one completed artifact: take the lock, merge-on-reload,
     /// and — if no other process landed this fingerprint meanwhile —
-    /// insert the record and republish the canonical image. Returns
-    /// whether the record was actually appended (`false` means a
+    /// write the record at the end of the file and sync its data.
+    /// Returns whether the record was actually appended (`false` means a
     /// concurrent writer got there first; the journal already holds an
     /// equivalent record). On `Ok(true)` the record is durable.
     pub fn append(
@@ -628,11 +665,22 @@ impl JournalWriter {
         label: &str,
         artifact: &RunArtifact,
     ) -> Result<bool, JournalError> {
+        use std::io::Write as _;
         let _guard = lock::acquire(&self.lock).map_err(lock_err)?;
-        self.reload_merge()?;
+        let known = self.reload_merge()?;
         if self.records.contains_key(&fingerprint) {
             return Ok(false);
         }
+        let bytes = encode_record(self.epoch, fingerprint, label, artifact);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&self.path)
+            .map_err(|e| io_err(&self.path, "write", e))?;
+        // A write that fails part-way leaves a torn tail past `known`,
+        // which the next merge finds and heals.
+        file.write_all(&bytes).map_err(|e| io_err(&self.path, "write", e))?;
+        file.sync_data().map_err(|e| io_err(&self.path, "fsync", e))?;
+        self.known = Some(FileMark { len: known.len + bytes.len() as u64, ..known });
         self.records.insert(
             fingerprint,
             JournalRecord {
@@ -641,21 +689,74 @@ impl JournalWriter {
                 artifact: artifact.clone(),
             },
         );
-        self.persist()?;
         self.appended += 1;
         Ok(true)
     }
 
+    /// End this writer's campaign: under the lock, merge-on-reload and
+    /// republish the canonical image, unless the file is still the one
+    /// this writer last published. On failure the journal on disk stays
+    /// valid (a clean prefix of appends), just not canonical.
+    pub fn close(&mut self) -> Result<(), JournalError> {
+        let _guard = lock::acquire(&self.lock).map_err(lock_err)?;
+        let known = self.reload_merge()?;
+        if Some(known) != self.published {
+            self.publish()?;
+        }
+        Ok(())
+    }
+
     /// Fold in records that appeared on disk since our last read (landed
-    /// by another process). Our in-memory records win ties — they are
-    /// either identical (deterministic runs) or ours came first. Must be
+    /// by another process), reading only what changed: nothing if the
+    /// file is as we left it, only the new bytes if it grew in place, the
+    /// whole file otherwise. Our in-memory records win ties — they are
+    /// either identical (deterministic runs) or ours came first. A file
+    /// that is missing, holds a defect, or lacks one of our records is
+    /// healed by a canonical republish. Returns the file's mark. Must be
     /// called with the journal lock held.
-    fn reload_merge(&mut self) -> Result<(), JournalError> {
-        let on_disk = load_file(&self.path, self.epoch)?;
+    fn reload_merge(&mut self) -> Result<FileMark, JournalError> {
+        use std::io::{Read as _, Seek as _, SeekFrom};
+        use std::os::unix::fs::MetadataExt as _;
+        let read_err = |e| io_err(&self.path, "read", e);
+        let mut file = match std::fs::File::open(&self.path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return self.publish(),
+            Err(e) => return Err(read_err(e)),
+        };
+        let meta = file.metadata().map_err(read_err)?;
+        let inode = meta.ino();
+        if let Some(known) = self.known.filter(|k| k.inode == inode && k.len <= meta.len()) {
+            if known.len == meta.len() {
+                return Ok(known);
+            }
+            let mut tail = Vec::new();
+            file.seek(SeekFrom::Start(known.len)).map_err(read_err)?;
+            file.read_to_end(&mut tail).map_err(read_err)?;
+            let mut appended = LoadedJournal::default();
+            load_records(&tail, known.len as usize, self.epoch, &mut appended);
+            let fresh = appended.records.keys().all(|fp| !self.records.contains_key(fp));
+            if appended.defects.is_empty() && fresh {
+                self.records.extend(appended.records);
+                let mark = FileMark { inode, len: known.len + tail.len() as u64 };
+                self.known = Some(mark);
+                return Ok(mark);
+            }
+            file.rewind().map_err(read_err)?;
+        }
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(read_err)?;
+        let on_disk = load_bytes(&bytes, self.epoch);
+        let disk_records = on_disk.records.len();
         for (fingerprint, record) in on_disk.records {
             self.records.entry(fingerprint).or_insert(record);
         }
-        Ok(())
+        // An empty file has no header to append after.
+        if bytes.is_empty() || !on_disk.defects.is_empty() || self.records.len() != disk_records {
+            return self.publish();
+        }
+        let mark = FileMark { inode, len: bytes.len() as u64 };
+        self.known = Some(mark);
+        Ok(mark)
     }
 
     /// The record currently held for `fingerprint`, if any (reflects the
@@ -680,9 +781,17 @@ impl JournalWriter {
         &self.lock
     }
 
-    /// Publish the canonical image of the in-memory record set.
-    fn persist(&self) -> Result<(), JournalError> {
-        crate::atomic::replace(&self.path, &encode_image(&self.records, self.epoch))
+    /// Publish the canonical image of the in-memory record set and
+    /// remember it as both the known and the published file.
+    fn publish(&mut self) -> Result<FileMark, JournalError> {
+        use std::os::unix::fs::MetadataExt as _;
+        let image = encode_image(&self.records, self.epoch);
+        crate::atomic::replace(&self.path, &image)?;
+        let meta = std::fs::metadata(&self.path).map_err(|e| io_err(&self.path, "read", e))?;
+        let mark = FileMark { inode: meta.ino(), len: image.len() as u64 };
+        self.known = Some(mark);
+        self.published = Some(mark);
+        Ok(mark)
     }
 }
 
@@ -796,11 +905,15 @@ impl JournalSession {
         self.claims.release(request.fingerprint());
     }
 
-    /// End the campaign: deregister the writer session (claims are
-    /// already released per-request; a crashed session's leftovers are
-    /// swept by the next opener).
-    pub fn finish(&self) {
+    /// End the campaign: close the writer (the canonical republish),
+    /// then deregister the writer session (claims are already released
+    /// per-request; a crashed session's leftovers are swept by the next
+    /// opener). The session is deregistered even if the close fails; the
+    /// journal is then valid but not canonical.
+    pub fn finish(&self) -> Result<(), JournalError> {
+        let closed = self.writer.lock().unwrap_or_else(|p| p.into_inner()).close();
         self.sessions.deregister(&self.token);
+        closed
     }
 }
 
@@ -942,8 +1055,9 @@ pub struct ResumeReport {
     pub journaled: usize,
     /// Corruption events detected and healed during load.
     pub defects: Vec<JournalDefect>,
-    /// Journal write failures (the runs still succeeded; only their
-    /// durability was lost).
+    /// Journal write failures. A failed append loses only its run's
+    /// durability (the run still succeeded); a failed close leaves the
+    /// journal valid but not canonical.
     pub write_errors: Vec<String>,
     /// The whole plan was answered on the lock-free read path: no lock
     /// taken, no session registered, nothing written or fsynced.
@@ -1145,7 +1259,7 @@ where
         }
         result
     });
-    session.finish();
+    let closed = session.finish();
     if let Some(e) = fatal.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);
     }
@@ -1156,6 +1270,9 @@ where
     report.reused_live = reused_live.load(Ordering::Relaxed);
     report.journaled = journaled.load(Ordering::Relaxed);
     report.write_errors = write_errors.into_inner().unwrap_or_else(|p| p.into_inner());
+    if let Err(e) = closed {
+        report.write_errors.push(e.to_string());
+    }
 
     // Merge reused and executed slots back into plan order.
     let mut store = executed.store.clone();
@@ -1520,6 +1637,12 @@ mod tests {
                 w.append(request(i).fingerprint(), &request(i).label(), &artifact(i as u64 + 1))
                     .expect("append");
             }
+            // Before the close the appends sit in append order: a clean
+            // journal holding the same record set.
+            let appended = load_file(&dir.join(JOURNAL_FILE), 7).expect("load");
+            assert!(appended.defects.is_empty(), "{:?}", appended.defects);
+            assert!(appended.records.keys().eq(w.records.keys()));
+            w.close().expect("close");
             images.push(std::fs::read(dir.join(JOURNAL_FILE)).expect("read"));
         }
         assert_eq!(
@@ -1546,9 +1669,14 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again), "an unchanged file is not decoded again");
         assert!(!Arc::ptr_eq(&first, &cache.load(&path, epoch + 1).expect("load")));
 
-        // A new publish is a new file.
+        // An in-place append keeps the inode but grows the length.
         writer.append(2, "two", &artifact(2)).expect("append");
         assert_eq!(cache.load(&path, epoch).expect("load").records.len(), 2);
+        // A canonical republish is a new file.
+        writer.close().expect("close");
+        let closed = cache.load(&path, epoch).expect("load");
+        assert_eq!(closed.records.len(), 2);
+        assert!(Arc::ptr_eq(&closed, &cache.load(&path, epoch).expect("load")));
         // An in-place truncation keeps the inode but moves the length.
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");

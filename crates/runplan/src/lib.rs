@@ -37,8 +37,9 @@
 //!
 //! Persistence: the [`journal`] module makes executions crash-safe.
 //! Every completed artifact is appended to a checksummed on-disk journal
-//! (atomic write-temp → fsync → rename, the one publication path every
-//! shared file takes), keyed by a stable
+//! (one record written in place and data-synced; the canonical image is
+//! republished by atomic write-temp → fsync → rename, the one
+//! publication path every other shared file takes), keyed by a stable
 //! [`RunRequest::fingerprint`] plus the code/config epoch
 //! ([`fingerprint`]); a resumed plan serves journaled runs from disk and
 //! executes only the residue, while any corruption — torn tail, bit
@@ -48,7 +49,7 @@
 //! cold run at any job count.
 //!
 //! Coordination: the [`lock`] module makes the cache safe to *share*.
-//! Every journal republish happens under an advisory file lock (atomic
+//! Every journal write happens under an advisory file lock (atomic
 //! hard-link acquisition, stale-lock takeover from dead holders) with a
 //! merge-on-reload pass folding in records concurrent processes landed;
 //! a per-fingerprint claims registry gives N concurrent invocations

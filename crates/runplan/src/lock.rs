@@ -20,7 +20,9 @@
 //! unparseable) *steals* the lock by atomically renaming it to a
 //! per-contender grave name: exactly one rename succeeds, so exactly one
 //! contender performs the takeover, and everyone — winner included —
-//! simply re-enters the normal acquisition loop. A live holder is never
+//! simply re-enters the normal acquisition loop. A lock file that cannot
+//! be read (it was released in between) is retried, never stolen: only
+//! content actually read can condemn a holder. A live holder is never
 //! stolen from; contenders wait until [`LockConfig::timeout`] and then
 //! fail with [`LockErrorKind::Timeout`].
 //!
@@ -266,16 +268,22 @@ fn try_acquire(config: &LockConfig) -> Result<Option<LockGuard>, LockError> {
             released: false,
         }));
     }
-    let content = std::fs::read_to_string(&config.path).unwrap_or_default();
-    match holder_pid(&content) {
-        Some(pid) if pid_alive(pid) => Ok(None),
-        // Dead or unparseable holder: steal, then retry the normal
-        // path (someone else may beat us to the link).
-        _ => {
-            steal(&config.path);
-            Ok(None)
-        }
+    if stale_holder(std::fs::read_to_string(&config.path), pid_alive) {
+        // Steal, then retry the normal path (someone else may beat us
+        // to the link).
+        steal(&config.path);
     }
+    Ok(None)
+}
+
+/// Whether the read of a lock file condemns its holder, with `alive` as
+/// the liveness test: content naming a dead or no parseable PID does. A
+/// failed read (most often `NotFound`: the holder released since our
+/// link attempt) does not — only content actually read can condemn a
+/// holder, or a lock re-acquired in between would be renamed away from
+/// its live owner.
+fn stale_holder(read: std::io::Result<String>, alive: impl Fn(u32) -> bool) -> bool {
+    read.is_ok_and(|content| holder_pid(&content).is_none_or(|pid| !alive(pid)))
 }
 
 /// Atomically retire a stale lock: rename it to a per-stealer grave name
@@ -598,6 +606,19 @@ mod tests {
         let guard = acquire(&config(&dir, "taker")).expect("steal garbage lock");
         drop(guard);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_a_holder_read_and_found_dead_is_stolen() {
+        let read = |content: &str| Ok(content.to_string());
+        let alive = |pid| pid == 42;
+        assert!(!stale_holder(read("pid 42\ntoken t\n"), alive));
+        assert!(stale_holder(read("pid 43\ntoken t\n"), alive));
+        assert!(stale_holder(read("not a lock file"), alive));
+        let vanished = std::io::Error::from(std::io::ErrorKind::NotFound);
+        assert!(!stale_holder(Err(vanished), alive), "a released lock is retried");
+        let unreadable = std::io::Error::from(std::io::ErrorKind::PermissionDenied);
+        assert!(!stale_holder(Err(unreadable), alive));
     }
 
     #[test]

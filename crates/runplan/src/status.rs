@@ -35,9 +35,10 @@ pub struct CacheStatus {
 }
 
 /// Snapshot the cache in `dir` under `epoch` without locking or writing.
-/// The journal bytes are read once; a concurrent republish can at worst
-/// make the snapshot one append stale — never torn, thanks to the
-/// writers' atomic renames.
+/// The journal bytes are read once; a concurrent writer can at worst
+/// make the snapshot one append stale, or show an append still in
+/// progress as a torn tail (republishes are atomic renames, and appends
+/// only ever add whole records at the end).
 pub fn cache_status(dir: &Path, epoch: u64) -> Result<CacheStatus, JournalError> {
     let path = dir.join(JOURNAL_FILE);
     let (present, bytes) = match std::fs::read(&path) {

@@ -6,12 +6,12 @@
 
 use interp_core::{ConsoleDigest, Language, RunArtifact, RunRequest, Scale, WorkloadId};
 use interp_runplan::journal::{self, load_bytes, JournalConfig};
-use interp_runplan::lock::{acquire, LockConfig};
+use interp_runplan::lock::{acquire, LockConfig, WRITERS_DIR};
 use interp_runplan::{execute_journaled_with, JournalErrorKind, Plan, SuperviseConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const EPOCH: u64 = 0xC0_0D11;
 
@@ -46,18 +46,35 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Wait (up to ten seconds) until `writers/` holds `peers` registered
+/// writer sessions.
+fn await_writers(dir: &Path, peers: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        let registered = std::fs::read_dir(dir.join(WRITERS_DIR)).map_or(0, |d| d.count());
+        if registered >= peers {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// A journaled campaign over `plan` that counts every execution in the
-/// shared `counts` map and dawdles a little so concurrent campaigns
-/// genuinely overlap.
+/// shared `counts` map and dawdles a little. No run starts before
+/// `peers` writer sessions are registered, so concurrent campaigns
+/// genuinely overlap: none can finish (and deregister) before the other
+/// has joined.
 fn campaign(
     plan: &Plan,
     dir: &Path,
     resume: bool,
+    peers: usize,
     counts: &Mutex<BTreeMap<RunRequest, u32>>,
 ) -> interp_runplan::ResumeReport {
     let config = SuperviseConfig::new();
     let jconfig = JournalConfig::new(dir).with_epoch(EPOCH).with_resume(resume);
     let (_, report) = execute_journaled_with(plan, 2, &config, &jconfig, |request, _| {
+        await_writers(dir, peers);
         *counts
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -80,19 +97,19 @@ fn concurrent_campaigns_fill_one_cache_exactly_once() {
     let dir = fresh_dir("pair");
     let counts: Mutex<BTreeMap<RunRequest, u32>> = Mutex::new(BTreeMap::new());
 
-    // Align the starts so both campaigns are in flight together; each
-    // run's deliberate dawdle keeps the overlap wide open while the
-    // second campaign's non-resume open joins the first (live writers
-    // present => no truncation).
+    // Both campaigns are in flight together: no run starts until both
+    // writer sessions are registered, so the second campaign's
+    // non-resume open always joins the first (live writers present =>
+    // no truncation) instead of wiping a finished campaign's journal.
     let start = std::sync::Barrier::new(2);
     let (first, second) = std::thread::scope(|scope| {
         let a = scope.spawn(|| {
             start.wait();
-            campaign(&plan, &dir, false, &counts)
+            campaign(&plan, &dir, false, 2, &counts)
         });
         let b = scope.spawn(|| {
             start.wait();
-            campaign(&plan, &dir, false, &counts)
+            campaign(&plan, &dir, false, 2, &counts)
         });
         (
             a.join().expect("first campaign"),
@@ -104,10 +121,11 @@ fn concurrent_campaigns_fill_one_cache_exactly_once() {
     // executed sums to the plan size, and each campaign accounts for
     // its full plan as reused + executed + reused-live.
     let counts = counts.into_inner().unwrap_or_else(|p| p.into_inner());
+    let context = format!("counts {counts:?}\nfirst {first:?}\nsecond {second:?}");
     for request in plan.requests() {
-        assert_eq!(counts.get(request), Some(&1), "{request} execution count");
+        assert_eq!(counts.get(request), Some(&1), "{request} execution count\n{context}");
     }
-    assert_eq!(first.executed + second.executed, plan.len());
+    assert_eq!(first.executed + second.executed, plan.len(), "{context}");
     for (name, report) in [("first", &first), ("second", &second)] {
         assert_eq!(
             report.reused + report.executed + report.reused_live,
@@ -144,7 +162,7 @@ fn dead_writers_claims_are_swept_not_waited_on() {
     .expect("corpse claim");
 
     let counts: Mutex<BTreeMap<RunRequest, u32>> = Mutex::new(BTreeMap::new());
-    let report = campaign(&plan, &dir, false, &counts);
+    let report = campaign(&plan, &dir, false, 1, &counts);
     assert_eq!(report.executed, plan.len(), "{report:?}");
     let counts = counts.into_inner().unwrap_or_else(|p| p.into_inner());
     assert!(counts.values().all(|&c| c == 1), "{counts:?}");

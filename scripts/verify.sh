@@ -28,9 +28,12 @@
 #                        fast-dispatch tier (threaded, superinstr,
 #                        inline-cache, tiered) as extra witness columns.
 #   crash-resume       — a journaled run is deliberately crashed mid-plan
-#                        (exit 86 after 5 durable appends); the rerun with
-#                        --resume must reuse the journal and print stdout
-#                        byte-identical to the cold run.
+#                        (exit 86 after 5 durable appends) and leaves a
+#                        journal `status` finds clean; the rerun with
+#                        --resume must reuse the journal, print stdout
+#                        byte-identical to the cold run and close to a
+#                        journal byte-identical to a cold single-process
+#                        one, which `compact` finds already clean.
 #   two-process cache  — two concurrent `repro all` processes sharing one
 #                        --cache-dir must both exit 0, execute each run
 #                        exactly once between them, and leave a journal
@@ -136,12 +139,21 @@ status=$?
 set -e
 [ "$status" -eq 86 ] \
   || { echo "crash harness exited $status, expected 86"; exit 1; }
+"$REPRO" status --cache-dir "$CACHE" | grep "defects: 0$" \
+  || { echo "the crashed campaign's appended journal is not clean"; exit 1; }
 "$REPRO" all --scale test --cache-dir "$CACHE" --resume \
   >/tmp/repro_resumed.txt 2>/tmp/repro_resume_report.txt
 cmp /tmp/repro_parallel.txt /tmp/repro_resumed.txt \
   || { echo "resumed output differs from the cold run"; exit 1; }
 grep "^journal " /tmp/repro_resume_report.txt
-rm -rf "$CACHE"
+COLDCACHE=/tmp/repro_resume_cold
+rm -rf "$COLDCACHE"
+"$REPRO" all --scale test --jobs 1 --cache-dir "$COLDCACHE" >/dev/null 2>&1
+cmp "$COLDCACHE/artifacts.journal" "$CACHE/artifacts.journal" \
+  || { echo "the resumed journal differs from a cold single-process journal"; exit 1; }
+"$REPRO" compact --cache-dir "$COLDCACHE" | grep "already clean" \
+  || { echo "a cold campaign's closed journal was not canonical"; exit 1; }
+rm -rf "$CACHE" "$COLDCACHE"
 
 echo "== two-process shared cache (exactly-once split, byte-diff vs cold) =="
 COLD=/tmp/repro_coord_cold
