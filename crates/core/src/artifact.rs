@@ -293,7 +293,8 @@ mod tests {
         let mut stats = RunStats::new();
         let add = crate::CmdId(0);
         stats.begin_command(add);
-        stats.charge(crate::Phase::Execute, Some(add), true);
+        stats.charge_n(crate::Phase::Execute, Some(add), 1);
+        stats.count_mem_model_instructions(1);
         stats.count_load();
         RunArtifact {
             stats,

@@ -132,21 +132,15 @@ mod tests {
         let mut stats = RunStats::new();
         // match: 1 dispatch, 80 execute instructions
         stats.begin_command(a);
-        for _ in 0..80 {
-            stats.charge(Phase::Execute, Some(a), false);
-        }
+        stats.charge_n(Phase::Execute, Some(a), 80);
         // assign: 8 dispatches, 15 execute instructions
         for _ in 0..8 {
             stats.begin_command(b);
         }
-        for _ in 0..15 {
-            stats.charge(Phase::Execute, Some(b), false);
-        }
+        stats.charge_n(Phase::Execute, Some(b), 15);
         // print: 1 dispatch, 5 native instructions
         stats.begin_command(c);
-        for _ in 0..5 {
-            stats.charge(Phase::Native, Some(c), false);
-        }
+        stats.charge_n(Phase::Native, Some(c), 5);
         (stats, set)
     }
 

@@ -15,6 +15,20 @@ use crate::insn::{InsnKind, InsnRecord};
 pub trait TraceSink {
     /// Observe one retired instruction.
     fn insn(&mut self, rec: InsnRecord);
+
+    /// Whether this sink reads the records it is given. A sink that
+    /// answers `false` may be handed runs of instructions in bulk, with no
+    /// record built and no per-instruction pc walk; its counters in
+    /// `RunStats` are exactly those of a sink that answers `true`. The
+    /// answer must not change over the sink's life.
+    ///
+    /// A provided method rather than an associated constant, so that
+    /// `dyn TraceSink` stays usable; for a concrete sink type it inlines
+    /// to a constant.
+    #[inline(always)]
+    fn records(&self) -> bool {
+        true
+    }
 }
 
 /// Discards the trace; used for counting-only runs.
@@ -24,6 +38,11 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     #[inline(always)]
     fn insn(&mut self, _rec: InsnRecord) {}
+
+    #[inline(always)]
+    fn records(&self) -> bool {
+        false
+    }
 }
 
 /// Counts instructions by class without storing them.
@@ -99,12 +118,22 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
         self.a.insn(rec);
         self.b.insn(rec);
     }
+
+    #[inline(always)]
+    fn records(&self) -> bool {
+        self.a.records() || self.b.records()
+    }
 }
 
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     #[inline]
     fn insn(&mut self, rec: InsnRecord) {
         (**self).insn(rec)
+    }
+
+    #[inline(always)]
+    fn records(&self) -> bool {
+        (**self).records()
     }
 }
 
@@ -165,6 +194,22 @@ mod tests {
             tee.insn(rec);
         }
         assert_eq!(tee.a.instructions as usize, tee.b.trace.len());
+    }
+
+    #[test]
+    fn only_sinks_that_read_records_say_so() {
+        assert!(!NullSink.records());
+        assert!(CountingSink::default().records());
+        assert!(VecSink::default().records());
+        assert!(!TeeSink::new(NullSink, NullSink).records());
+        assert!(TeeSink::new(NullSink, CountingSink::default()).records());
+        assert!(TeeSink::new(VecSink::default(), NullSink).records());
+        let mut null = NullSink;
+        let by_ref: &mut NullSink = &mut null;
+        assert!(!by_ref.records());
+        let mut counting = CountingSink::default();
+        let as_dyn: &mut dyn TraceSink = &mut counting;
+        assert!(as_dyn.records());
     }
 
     #[test]

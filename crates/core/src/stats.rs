@@ -83,15 +83,14 @@ impl RunStats {
         }
     }
 
-    /// Charge one instruction in `phase`, attributed to `cmd` if a virtual
-    /// command is active, with the §3.3 memory-model tag `mem_model`.
+    /// Charge `n` instructions retired in `phase`, attributed to `cmd` if a
+    /// virtual command is active. The only charging path: the host machine
+    /// calls it once per run of instructions under one attribution, not
+    /// once per instruction.
     #[inline]
-    pub fn charge(&mut self, phase: Phase, cmd: Option<CmdId>, mem_model: bool) {
-        self.instructions += 1;
-        self.phase[Self::phase_slot(phase)] += 1;
-        if mem_model {
-            self.mem_model_instructions += 1;
-        }
+    pub fn charge_n(&mut self, phase: Phase, cmd: Option<CmdId>, n: u64) {
+        self.instructions += n;
+        self.phase[Self::phase_slot(phase)] += n;
         if let Some(cmd) = cmd {
             let idx = cmd.index();
             if idx >= self.per_command.len() {
@@ -99,15 +98,15 @@ impl RunStats {
             }
             let slot = &mut self.per_command[idx];
             match phase {
-                Phase::FetchDecode => slot.fetch_decode += 1,
-                Phase::Execute => slot.execute += 1,
-                Phase::Native => slot.native += 1,
+                Phase::FetchDecode => slot.fetch_decode += n,
+                Phase::Execute => slot.execute += n,
+                Phase::Native => slot.native += n,
                 Phase::Startup => {}
             }
         }
     }
 
-    /// Record a load (call in addition to [`charge`](Self::charge)).
+    /// Record a load (call in addition to [`charge_n`](Self::charge_n)).
     #[inline]
     pub fn count_load(&mut self) {
         self.loads += 1;
@@ -134,6 +133,12 @@ impl RunStats {
     #[inline]
     pub fn count_mem_model_access(&mut self) {
         self.mem_model_accesses += 1;
+    }
+
+    /// Tag `n` instructions, already charged, as memory-model work (§3.3).
+    #[inline]
+    pub fn count_mem_model_instructions(&mut self, n: u64) {
+        self.mem_model_instructions += n;
     }
 
     /// Retroactively credit `n` fetch/decode instructions to `cmd`.
@@ -368,9 +373,10 @@ mod tests {
     fn charge_updates_phase_and_command() {
         let mut s = RunStats::new();
         s.begin_command(cmd(0));
-        s.charge(Phase::FetchDecode, Some(cmd(0)), false);
-        s.charge(Phase::Execute, Some(cmd(0)), true);
-        s.charge(Phase::Native, Some(cmd(0)), false);
+        s.charge_n(Phase::FetchDecode, Some(cmd(0)), 1);
+        s.charge_n(Phase::Execute, Some(cmd(0)), 1);
+        s.count_mem_model_instructions(1);
+        s.charge_n(Phase::Native, Some(cmd(0)), 1);
         assert_eq!(s.instructions, 3);
         assert_eq!(s.phase_instructions(Phase::FetchDecode), 1);
         assert_eq!(s.phase_instructions(Phase::Execute), 1);
@@ -386,14 +392,33 @@ mod tests {
     }
 
     #[test]
+    fn a_bulk_charge_equals_that_many_single_charges() {
+        let mut bulk = RunStats::new();
+        let mut single = RunStats::new();
+        bulk.begin_command(cmd(2));
+        single.begin_command(cmd(2));
+        for phase in Phase::ALL {
+            for who in [None, Some(cmd(2)), Some(cmd(5))] {
+                bulk.charge_n(phase, who, 9);
+                for _ in 0..9 {
+                    single.charge_n(phase, who, 1);
+                }
+            }
+        }
+        let mut a = crate::serial::ByteWriter::new();
+        let mut b = crate::serial::ByteWriter::new();
+        bulk.encode_into(&mut a);
+        single.encode_into(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
+        assert_eq!(bulk.instructions, 4 * 3 * 9);
+        assert_eq!(bulk.command(cmd(5)).execute, 9);
+    }
+
+    #[test]
     fn startup_excluded_from_steady_state() {
         let mut s = RunStats::new();
-        for _ in 0..10 {
-            s.charge(Phase::Startup, None, false);
-        }
-        for _ in 0..5 {
-            s.charge(Phase::Execute, None, false);
-        }
+        s.charge_n(Phase::Startup, None, 10);
+        s.charge_n(Phase::Execute, None, 5);
         assert_eq!(s.instructions, 15);
         assert_eq!(s.steady_state_instructions(), 5);
     }
@@ -403,12 +428,8 @@ mod tests {
         let mut s = RunStats::new();
         for _ in 0..4 {
             s.begin_command(cmd(1));
-            for _ in 0..3 {
-                s.charge(Phase::FetchDecode, Some(cmd(1)), false);
-            }
-            for _ in 0..7 {
-                s.charge(Phase::Execute, Some(cmd(1)), false);
-            }
+            s.charge_n(Phase::FetchDecode, Some(cmd(1)), 3);
+            s.charge_n(Phase::Execute, Some(cmd(1)), 7);
         }
         assert!((s.avg_fetch_decode() - 3.0).abs() < 1e-9);
         assert!((s.avg_execute() - 7.0).abs() < 1e-9);
@@ -419,12 +440,9 @@ mod tests {
         let mut s = RunStats::new();
         s.count_mem_model_access();
         s.count_mem_model_access();
-        for _ in 0..10 {
-            s.charge(Phase::Execute, None, true);
-        }
-        for _ in 0..10 {
-            s.charge(Phase::Execute, None, false);
-        }
+        s.charge_n(Phase::Execute, None, 10);
+        s.count_mem_model_instructions(10);
+        s.charge_n(Phase::Execute, None, 10);
         assert!((s.avg_mem_model_cost() - 5.0).abs() < 1e-9);
         assert!((s.mem_model_fraction() - 0.5).abs() < 1e-9);
     }
@@ -433,10 +451,11 @@ mod tests {
     fn merge_adds_counters() {
         let mut a = RunStats::new();
         a.begin_command(cmd(0));
-        a.charge(Phase::Execute, Some(cmd(0)), false);
+        a.charge_n(Phase::Execute, Some(cmd(0)), 1);
         let mut b = RunStats::new();
         b.begin_command(cmd(2));
-        b.charge(Phase::FetchDecode, Some(cmd(2)), true);
+        b.charge_n(Phase::FetchDecode, Some(cmd(2)), 1);
+        b.count_mem_model_instructions(1);
         b.count_load();
         a.merge(&b);
         assert_eq!(a.instructions, 2);
@@ -451,10 +470,11 @@ mod tests {
         let mut s = RunStats::new();
         s.begin_command(cmd(0));
         s.begin_command(cmd(3));
-        s.charge(Phase::Startup, None, false);
-        s.charge(Phase::FetchDecode, Some(cmd(0)), false);
-        s.charge(Phase::Execute, Some(cmd(3)), true);
-        s.charge(Phase::Native, Some(cmd(3)), false);
+        s.charge_n(Phase::Startup, None, 1);
+        s.charge_n(Phase::FetchDecode, Some(cmd(0)), 1);
+        s.charge_n(Phase::Execute, Some(cmd(3)), 1);
+        s.count_mem_model_instructions(1);
+        s.charge_n(Phase::Native, Some(cmd(3)), 1);
         s.count_load();
         s.count_store();
         s.count_mem_model_access();

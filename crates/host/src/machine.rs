@@ -2,11 +2,22 @@
 //!
 //! All four interpreters are written against this type's *primitives*: one
 //! primitive call retires exactly one native instruction (byte accesses
-//! retire two, matching an Alpha's load-plus-extract sequences), updates the
-//! per-phase / per-command counters, and streams an [`InsnRecord`] to the
-//! attached [`TraceSink`]. This substitutes for the paper's ATOM binary
-//! instrumentation: counts and address traces *emerge* from the work the
-//! interpreters actually perform.
+//! retire two, matching an Alpha's load-plus-extract sequences), counts
+//! toward the per-phase / per-command counters, and streams an
+//! [`InsnRecord`] to the attached [`TraceSink`]. This substitutes for the
+//! paper's ATOM binary instrumentation: counts and address traces *emerge*
+//! from the work the interpreters actually perform.
+//!
+//! Accounting is deferred. A retired instruction only advances the pc and
+//! bumps an unflushed count; the count is folded into [`RunStats`] by one
+//! [`RunStats::charge_n`] whenever the attribution (phase, virtual command)
+//! is about to change, and before anything reads the counters
+//! ([`Machine::guard_check`], [`Machine::stats`], [`Machine::into_parts`]).
+//! Every instruction between two flush points runs under one attribution,
+//! so the counters are exactly those of charging each instruction as it
+//! retires. The §3.3 memory-model tag needs no flush: an outermost
+//! [`Machine::mem_model`] region credits the difference of the retired
+//! count between its exit and its entry.
 
 use interp_core::{CmdId, InsnKind, InsnRecord, Phase, RunStats, TraceSink};
 use interp_guard::{GuardError, Limits};
@@ -50,12 +61,21 @@ pub struct Machine<S: TraceSink> {
     sink: S,
     stats: RunStats,
     layout: CodeLayout,
-    frames: Vec<Frame>,
+    /// The running routine's frame.
+    frame: Frame,
+    /// The callers' frames, innermost last.
+    callers: Vec<Frame>,
     phase: Phase,
     phase_stack: Vec<Phase>,
     mem_model_depth: u32,
     cur_cmd: Option<CmdId>,
     pending_fd: u64,
+    /// Instructions retired since the last [`Self::flush`], all under the
+    /// current attribution.
+    unflushed: u64,
+    /// [`Self::retired`] when the open memory-model region started, or
+    /// when its instructions were last credited.
+    mem_model_mark: u64,
     pub(crate) heap: Heap,
     pub(crate) fs: FileSystem,
     pub(crate) console: Vec<u8>,
@@ -74,10 +94,10 @@ pub struct Machine<S: TraceSink> {
 impl<S: TraceSink> std::fmt::Debug for Machine<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("instructions", &self.stats.instructions)
+            .field("instructions", &self.retired())
             .field("commands", &self.stats.commands)
             .field("phase", &self.phase)
-            .field("frames", &self.frames.len())
+            .field("frames", &(self.callers.len() + 1))
             .finish()
     }
 }
@@ -104,12 +124,15 @@ impl<S: TraceSink> Machine<S> {
             sink,
             stats: RunStats::new(),
             layout,
-            frames: vec![frame],
+            frame,
+            callers: Vec::new(),
             phase: Phase::Startup,
             phase_stack: Vec::new(),
             mem_model_depth: 0,
             cur_cmd: None,
             pending_fd: 0,
+            unflushed: 0,
+            mem_model_mark: 0,
             heap: Heap::new(),
             fs: FileSystem::new(),
             console: Vec::new(),
@@ -168,6 +191,7 @@ impl<S: TraceSink> Machine<S> {
         if let Some(fault) = &self.guard_fault {
             return Err(fault.clone());
         }
+        self.flush();
         if self.stats.instructions >= self.limits.max_host_steps {
             let fault = GuardError::HostStepBudget {
                 executed: self.stats.instructions,
@@ -212,13 +236,16 @@ impl<S: TraceSink> Machine<S> {
         &mut self.mem
     }
 
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> &RunStats {
+    /// Statistics gathered so far (folds in the instructions not yet
+    /// charged, hence `&mut`).
+    pub fn stats(&mut self) -> &RunStats {
+        self.settle();
         &self.stats
     }
 
     /// Consume the machine, returning the final statistics and the sink.
-    pub fn into_parts(self) -> (RunStats, S) {
+    pub fn into_parts(mut self) -> (RunStats, S) {
+        self.settle();
         (self.stats, self.sink)
     }
 
@@ -237,29 +264,58 @@ impl<S: TraceSink> Machine<S> {
     // ------------------------------------------------------------------
 
     /// Retire one instruction of `kind` at the current program counter.
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, kind: InsnKind) {
-        let frame = self.frames.last_mut().expect("machine always has a frame");
-        let pc = frame.pc();
-        frame.advance();
-        self.charge(InsnRecord { pc, kind });
+        let pc = self.frame.pc();
+        self.frame.advance();
+        self.retire(InsnRecord { pc, kind });
     }
 
-    /// Charge an instruction record directly (used by [`Self::raw_insn`] and
-    /// control-flow helpers that compute their own pc).
-    #[inline]
-    fn charge(&mut self, rec: InsnRecord) {
-        self.stats
-            .charge(self.phase, self.cur_cmd, self.mem_model_depth > 0);
-        if self.cur_cmd.is_none() && self.phase == Phase::FetchDecode {
-            self.pending_fd += 1;
-        }
-        match rec.kind {
-            InsnKind::Load { .. } => self.stats.count_load(),
-            InsnKind::Store { .. } => self.stats.count_store(),
-            _ => {}
-        }
+    /// Count one retired instruction and hand its record to the sink. The
+    /// counters proper are charged at the next [`Self::flush`].
+    #[inline(always)]
+    fn retire(&mut self, rec: InsnRecord) {
+        self.unflushed += 1;
         self.sink.insn(rec);
+    }
+
+    /// Instructions retired so far, charged or not.
+    #[inline(always)]
+    fn retired(&self) -> u64 {
+        self.stats.instructions + self.unflushed
+    }
+
+    /// Fold the instructions retired since the last flush into the
+    /// counters, under the attribution they ran with. Called whenever the
+    /// attribution is about to change and before anything reads the
+    /// counters.
+    #[inline]
+    fn flush(&mut self) {
+        let n = std::mem::take(&mut self.unflushed);
+        if n == 0 {
+            return;
+        }
+        self.stats.charge_n(self.phase, self.cur_cmd, n);
+        if self.cur_cmd.is_none() && self.phase == Phase::FetchDecode {
+            self.pending_fd += n;
+        }
+    }
+
+    /// Credit the open memory-model region's instructions so far.
+    #[inline]
+    fn credit_mem_model(&mut self) {
+        let now = self.retired();
+        self.stats
+            .count_mem_model_instructions(now - self.mem_model_mark);
+        self.mem_model_mark = now;
+    }
+
+    /// Bring every counter up to date, for a reader.
+    fn settle(&mut self) {
+        self.flush();
+        if self.mem_model_depth > 0 {
+            self.credit_mem_model();
+        }
     }
 
     /// Retire an externally-constructed instruction (used by the direct
@@ -267,7 +323,12 @@ impl<S: TraceSink> Machine<S> {
     /// than the routine layout).
     #[inline]
     pub fn raw_insn(&mut self, rec: InsnRecord) {
-        self.charge(rec);
+        match rec.kind {
+            InsnKind::Load { .. } => self.stats.count_load(),
+            InsnKind::Store { .. } => self.stats.count_store(),
+            _ => {}
+        }
+        self.retire(rec);
     }
 
     /// One single-cycle ALU instruction.
@@ -276,11 +337,22 @@ impl<S: TraceSink> Machine<S> {
         self.step(InsnKind::Alu);
     }
 
-    /// `n` ALU instructions.
+    /// `n` ALU instructions. A sink that reads no records takes them in
+    /// one step: the pc lands where `n` single steps would leave it, since
+    /// routine sizes are multiples of 4 and the pc offset stays below the
+    /// size. This is the machine's only sink-dependent branch.
     #[inline]
     pub fn alu_n(&mut self, n: u32) {
-        for _ in 0..n {
-            self.step(InsnKind::Alu);
+        if self.sink.records() {
+            for _ in 0..n {
+                self.step(InsnKind::Alu);
+            }
+        } else {
+            let frame = &mut self.frame;
+            let off = u64::from(frame.pc_off) + 4 * u64::from(n);
+            let size = u64::from(frame.size);
+            frame.pc_off = if off < size { off } else { off % size } as u32;
+            self.unflushed += u64::from(n);
         }
     }
 
@@ -305,6 +377,7 @@ impl<S: TraceSink> Machine<S> {
     /// Charged aligned word load.
     #[inline]
     pub fn lw(&mut self, addr: u32) -> u32 {
+        self.stats.count_load();
         self.step(InsnKind::Load { addr });
         self.mem.read_u32(addr)
     }
@@ -312,6 +385,7 @@ impl<S: TraceSink> Machine<S> {
     /// Charged aligned word store.
     #[inline]
     pub fn sw(&mut self, addr: u32, val: u32) {
+        self.stats.count_store();
         self.step(InsnKind::Store { addr });
         self.mem.write_u32(addr, val);
     }
@@ -320,6 +394,7 @@ impl<S: TraceSink> Machine<S> {
     /// matching pre-BWX Alpha code.
     #[inline]
     pub fn lb(&mut self, addr: u32) -> u8 {
+        self.stats.count_load();
         self.step(InsnKind::Load { addr: addr & !3 });
         self.step(InsnKind::ShortInt);
         self.mem.read_u8(addr)
@@ -328,6 +403,7 @@ impl<S: TraceSink> Machine<S> {
     /// Charged byte store: load-modify (short-int) plus store.
     #[inline]
     pub fn sb(&mut self, addr: u32, val: u8) {
+        self.stats.count_store();
         self.step(InsnKind::ShortInt);
         self.step(InsnKind::Store { addr: addr & !3 });
         self.mem.write_u8(addr, val);
@@ -341,14 +417,14 @@ impl<S: TraceSink> Machine<S> {
     /// four instructions' worth of text.
     #[inline]
     pub fn branch_fwd(&mut self, taken: bool) {
-        let frame = self.frames.last_mut().expect("frame");
+        let frame = &mut self.frame;
         let pc = frame.pc();
         frame.advance();
         let target = frame.base + (frame.pc_off + 16) % frame.size.max(4);
         if taken {
             frame.pc_off = target - frame.base;
         }
-        self.charge(InsnRecord {
+        self.retire(InsnRecord {
             pc,
             kind: InsnKind::Branch { target, taken },
         });
@@ -356,10 +432,9 @@ impl<S: TraceSink> Machine<S> {
 
     /// Capture the current position for a loop back-edge.
     pub fn here(&mut self) -> Label {
-        let frame = self.frames.last().expect("frame");
         Label {
-            routine: frame.routine,
-            off: frame.pc_off,
+            routine: self.frame.routine,
+            off: self.frame.pc_off,
         }
     }
 
@@ -372,7 +447,7 @@ impl<S: TraceSink> Machine<S> {
     /// Panics if `label` was captured in a different routine.
     #[inline]
     pub fn loop_back(&mut self, label: Label, taken: bool) {
-        let frame = self.frames.last_mut().expect("frame");
+        let frame = &mut self.frame;
         assert_eq!(
             frame.routine, label.routine,
             "loop label crossed a routine boundary"
@@ -383,7 +458,7 @@ impl<S: TraceSink> Machine<S> {
         if taken {
             frame.pc_off = label.off;
         }
-        self.charge(InsnRecord {
+        self.retire(InsnRecord {
             pc,
             kind: InsnKind::Branch { target, taken },
         });
@@ -403,15 +478,14 @@ impl<S: TraceSink> Machine<S> {
     /// [`Self::leave`].
     pub fn enter(&mut self, r: RoutineId) {
         let target = self.layout.base(r);
-        let frame = self.frames.last_mut().expect("frame");
-        let pc = frame.pc();
-        frame.advance();
-        self.charge(InsnRecord {
+        let pc = self.frame.pc();
+        self.frame.advance();
+        self.retire(InsnRecord {
             pc,
             kind: InsnKind::Call { target },
         });
-        let new_frame = Frame::new(&self.layout, r);
-        self.frames.push(new_frame);
+        let callee = Frame::new(&self.layout, r);
+        self.callers.push(std::mem::replace(&mut self.frame, callee));
     }
 
     /// Explicit return from [`Self::enter`].
@@ -420,19 +494,16 @@ impl<S: TraceSink> Machine<S> {
     ///
     /// Panics if only the root frame remains.
     pub fn leave(&mut self) {
-        assert!(self.frames.len() > 1, "cannot leave the root frame");
-        let frame = self.frames.last_mut().expect("frame");
-        let pc = frame.pc();
-        frame.advance();
-        let target = {
-            let caller = &self.frames[self.frames.len() - 2];
-            caller.pc()
-        };
-        self.charge(InsnRecord {
+        let caller = self.callers.pop().expect("cannot leave the root frame");
+        let pc = self.frame.pc();
+        self.frame.advance();
+        self.retire(InsnRecord {
             pc,
-            kind: InsnKind::Ret { target },
+            kind: InsnKind::Ret {
+                target: caller.pc(),
+            },
         });
-        self.frames.pop();
+        self.frame = caller;
     }
 
     // ------------------------------------------------------------------
@@ -447,15 +518,18 @@ impl<S: TraceSink> Machine<S> {
     /// Set the phase without nesting (dispatch loops toggle
     /// `FetchDecode`/`Execute` this way).
     pub fn set_phase(&mut self, phase: Phase) {
+        self.flush();
         self.phase = phase;
     }
 
     /// Run `f` with the phase temporarily set to `phase`.
     #[inline]
     pub fn phase<T>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.flush();
         self.phase_stack.push(self.phase);
         self.phase = phase;
         let out = f(self);
+        self.flush();
         self.phase = self.phase_stack.pop().expect("phase stack");
         out
     }
@@ -464,6 +538,7 @@ impl<S: TraceSink> Machine<S> {
     /// instructions accumulated since the previous command ended are
     /// credited to `cmd`.
     pub fn begin_command(&mut self, cmd: CmdId) {
+        self.flush();
         self.stats.begin_command(cmd);
         if self.pending_fd > 0 {
             self.stats.credit_fetch_decode(cmd, self.pending_fd);
@@ -475,6 +550,7 @@ impl<S: TraceSink> Machine<S> {
     /// Mark the end of the current virtual command (the dispatch loop is
     /// about to fetch the next one).
     pub fn end_command(&mut self) {
+        self.flush();
         self.cur_cmd = None;
         self.pending_fd = 0;
     }
@@ -511,11 +587,15 @@ impl<S: TraceSink> Machine<S> {
     #[inline]
     pub fn mem_model<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
         if self.mem_model_depth == 0 {
+            self.mem_model_mark = self.retired();
             self.stats.count_mem_model_access();
         }
         self.mem_model_depth += 1;
         let out = f(self);
         self.mem_model_depth -= 1;
+        if self.mem_model_depth == 0 {
+            self.credit_mem_model();
+        }
         out
     }
 
@@ -534,7 +614,7 @@ impl<S: TraceSink> Machine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interp_core::{CommandSet, NullSink, VecSink};
+    use interp_core::{CommandSet, CountingSink, NullSink, VecSink};
 
     #[test]
     fn primitives_charge_one_instruction_each() {
@@ -686,6 +766,109 @@ mod tests {
         }
         let err = m.guard_check().expect_err("budget crossed");
         assert!(matches!(err, GuardError::CommandBudget { executed: 3, cap: 3 }));
+    }
+
+    #[test]
+    fn bulk_alu_n_lands_where_single_steps_do() {
+        // 13 words of text; 40 instructions wrap past the end three times.
+        fn walk<S: TraceSink>(sink: S) -> (Label, Label, RunStats) {
+            let mut m = Machine::new(sink);
+            let r = m.routine_decl("wrap", 52);
+            let (mid, end) = m.routine(r, |m| {
+                m.alu_n(5);
+                let mid = m.here();
+                m.alu_n(40);
+                m.branch_fwd(true);
+                m.alu_n(11);
+                (mid, m.here())
+            });
+            let (stats, _) = m.into_parts();
+            (mid, end, stats)
+        }
+        let (null_mid, null_end, null_stats) = walk(NullSink);
+        let (vec_mid, vec_end, vec_stats) = walk(VecSink::default());
+        assert_eq!(null_mid, vec_mid);
+        assert_eq!(null_end, vec_end);
+        assert_eq!(null_stats.instructions, vec_stats.instructions);
+        // And the single steps really wrapped: 5 + 40 + 1 + 11 = 57 steps.
+        let mut m = Machine::new(VecSink::default());
+        let r = m.routine_decl("wrap", 52);
+        m.routine(r, |m| m.alu_n(57));
+        let (_, sink) = m.into_parts();
+        let base = sink.trace[1].pc;
+        assert_eq!(sink.trace[57].pc, base + (56 % 13) * 4);
+    }
+
+    #[test]
+    fn host_step_budget_crossed_inside_a_bulk_alu_n_reports_the_same_count() {
+        fn run<S: TraceSink>(sink: S) -> GuardError {
+            let mut m = Machine::with_limits(sink, Limits::unlimited().with_max_host_steps(103));
+            m.set_phase(Phase::Execute);
+            for _ in 0..30 {
+                if let Err(e) = m.guard_check() {
+                    return e;
+                }
+                m.alu();
+                m.alu_n(7); // the cap (103) falls inside the 12th of these
+                m.lw(0x1000);
+            }
+            GuardError::TraceMismatch { expected: "a tripped budget" }
+        }
+        let bulk = run(NullSink);
+        let single = run(CountingSink::default());
+        assert!(matches!(bulk, GuardError::HostStepBudget { executed: 108, cap: 103 }));
+        assert_eq!(bulk, single);
+    }
+
+    #[test]
+    fn deferred_counts_attribute_like_per_instruction_charging() {
+        let mut cmds = CommandSet::new("t");
+        let a = cmds.intern("a");
+        let b = cmds.intern("b");
+        let mut m = Machine::new(NullSink);
+        m.alu_n(3); // startup, no command
+        m.set_phase(Phase::FetchDecode);
+        m.alu_n(2); // pending fetch/decode
+        m.begin_command(a);
+        m.alu(); // fetch/decode of a
+        m.set_phase(Phase::Execute);
+        m.mem_model(|m| {
+            m.alu_n(4);
+            m.phase(Phase::Native, |m| m.lw(0x40));
+        });
+        m.end_command();
+        m.set_phase(Phase::FetchDecode);
+        m.sw(0x44, 1);
+        m.begin_command(b);
+        m.set_phase(Phase::Execute);
+        m.alu_n(6);
+        let stats = m.stats().clone();
+        assert_eq!(stats.instructions, 3 + 2 + 1 + 4 + 1 + 1 + 6);
+        assert_eq!(stats.phase_instructions(Phase::Startup), 3);
+        assert_eq!(stats.phase_instructions(Phase::FetchDecode), 4);
+        assert_eq!(stats.phase_instructions(Phase::Execute), 10);
+        assert_eq!(stats.phase_instructions(Phase::Native), 1);
+        assert_eq!(stats.mem_model_instructions, 5);
+        assert_eq!(stats.mem_model_accesses, 1);
+        assert_eq!((stats.loads, stats.stores), (1, 1));
+        let (ca, cb) = (stats.command(a), stats.command(b));
+        assert_eq!((ca.fetch_decode, ca.execute, ca.native), (3, 4, 1));
+        assert_eq!((cb.fetch_decode, cb.execute, cb.native), (1, 6, 0));
+    }
+
+    #[test]
+    fn stats_read_inside_a_mem_model_region_are_up_to_date() {
+        let mut m = Machine::new(NullSink);
+        m.alu();
+        m.mem_model(|m| {
+            m.alu_n(3);
+            assert_eq!(m.stats().mem_model_instructions, 3);
+            m.lw(0x10);
+            assert_eq!(m.stats().mem_model_instructions, 4);
+        });
+        m.alu();
+        let stats = m.stats();
+        assert_eq!((stats.instructions, stats.mem_model_instructions), (6, 4));
     }
 
     #[test]

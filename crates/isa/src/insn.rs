@@ -246,60 +246,77 @@ impl Insn {
         })
     }
 
-    /// Mnemonic (the paper's "virtual command" name for MIPSI).
-    pub fn mnemonic(self) -> &'static str {
+    /// Every mnemonic, indexed by [`Self::ordinal`] (declaration order).
+    pub const MNEMONICS: [&'static str; 49] = [
+        "sll", "srl", "sra", "sllv", "srlv", "srav", "jr", "jalr", "syscall", "mfhi", "mflo",
+        "mult", "multu", "div", "divu", "add", "addu", "sub", "subu", "and", "or", "xor", "nor",
+        "slt", "sltu", "beq", "bne", "blez", "bgtz", "bltz", "bgez", "addi", "addiu", "slti",
+        "sltiu", "andi", "ori", "xori", "lui", "lb", "lbu", "lh", "lhu", "lw", "sb", "sh", "sw",
+        "j", "jal",
+    ];
+
+    /// This instruction's index into [`Self::MNEMONICS`]: a dense id for
+    /// per-mnemonic tables, with no string in sight.
+    #[inline]
+    pub fn ordinal(self) -> usize {
         use Insn::*;
         match self {
-            Sll { .. } => "sll",
-            Srl { .. } => "srl",
-            Sra { .. } => "sra",
-            Sllv { .. } => "sllv",
-            Srlv { .. } => "srlv",
-            Srav { .. } => "srav",
-            Jr { .. } => "jr",
-            Jalr { .. } => "jalr",
-            Syscall => "syscall",
-            Mfhi { .. } => "mfhi",
-            Mflo { .. } => "mflo",
-            Mult { .. } => "mult",
-            Multu { .. } => "multu",
-            Div { .. } => "div",
-            Divu { .. } => "divu",
-            Add { .. } => "add",
-            Addu { .. } => "addu",
-            Sub { .. } => "sub",
-            Subu { .. } => "subu",
-            And { .. } => "and",
-            Or { .. } => "or",
-            Xor { .. } => "xor",
-            Nor { .. } => "nor",
-            Slt { .. } => "slt",
-            Sltu { .. } => "sltu",
-            Beq { .. } => "beq",
-            Bne { .. } => "bne",
-            Blez { .. } => "blez",
-            Bgtz { .. } => "bgtz",
-            Bltz { .. } => "bltz",
-            Bgez { .. } => "bgez",
-            Addi { .. } => "addi",
-            Addiu { .. } => "addiu",
-            Slti { .. } => "slti",
-            Sltiu { .. } => "sltiu",
-            Andi { .. } => "andi",
-            Ori { .. } => "ori",
-            Xori { .. } => "xori",
-            Lui { .. } => "lui",
-            Lb { .. } => "lb",
-            Lbu { .. } => "lbu",
-            Lh { .. } => "lh",
-            Lhu { .. } => "lhu",
-            Lw { .. } => "lw",
-            Sb { .. } => "sb",
-            Sh { .. } => "sh",
-            Sw { .. } => "sw",
-            J { .. } => "j",
-            Jal { .. } => "jal",
+            Sll { .. } => 0,
+            Srl { .. } => 1,
+            Sra { .. } => 2,
+            Sllv { .. } => 3,
+            Srlv { .. } => 4,
+            Srav { .. } => 5,
+            Jr { .. } => 6,
+            Jalr { .. } => 7,
+            Syscall => 8,
+            Mfhi { .. } => 9,
+            Mflo { .. } => 10,
+            Mult { .. } => 11,
+            Multu { .. } => 12,
+            Div { .. } => 13,
+            Divu { .. } => 14,
+            Add { .. } => 15,
+            Addu { .. } => 16,
+            Sub { .. } => 17,
+            Subu { .. } => 18,
+            And { .. } => 19,
+            Or { .. } => 20,
+            Xor { .. } => 21,
+            Nor { .. } => 22,
+            Slt { .. } => 23,
+            Sltu { .. } => 24,
+            Beq { .. } => 25,
+            Bne { .. } => 26,
+            Blez { .. } => 27,
+            Bgtz { .. } => 28,
+            Bltz { .. } => 29,
+            Bgez { .. } => 30,
+            Addi { .. } => 31,
+            Addiu { .. } => 32,
+            Slti { .. } => 33,
+            Sltiu { .. } => 34,
+            Andi { .. } => 35,
+            Ori { .. } => 36,
+            Xori { .. } => 37,
+            Lui { .. } => 38,
+            Lb { .. } => 39,
+            Lbu { .. } => 40,
+            Lh { .. } => 41,
+            Lhu { .. } => 42,
+            Lw { .. } => 43,
+            Sb { .. } => 44,
+            Sh { .. } => 45,
+            Sw { .. } => 46,
+            J { .. } => 47,
+            Jal { .. } => 48,
         }
+    }
+
+    /// Mnemonic (the paper's "virtual command" name for MIPSI).
+    #[inline]
+    pub fn mnemonic(self) -> &'static str {
+        Self::MNEMONICS[self.ordinal()]
     }
 
     /// True for conditional branches and jumps (instructions with a delay
@@ -384,6 +401,34 @@ mod tests {
         assert_eq!(Insn::NOP.encode(), 0);
         assert_eq!(Insn::decode(0).unwrap(), Insn::NOP);
         assert_eq!(Insn::NOP.mnemonic(), "sll");
+    }
+
+    #[test]
+    fn every_variant_has_its_own_ordinal_and_mnemonic() {
+        let mut seen = [false; Insn::MNEMONICS.len()];
+        for op in 0..64u32 {
+            for rt in 0..32u32 {
+                for funct in 0..64u32 {
+                    if let Ok(insn) = Insn::decode((op << 26) | (rt << 16) | funct) {
+                        seen[insn.ordinal()] = true;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "some ordinal is never decoded");
+        let mut names = Insn::MNEMONICS.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Insn::MNEMONICS.len(), "duplicate mnemonic");
+        assert_eq!(Insn::Syscall.mnemonic(), "syscall");
+        assert_eq!(Insn::J { target: 0 }.mnemonic(), "j");
+        assert_eq!(Insn::Jal { target: 0 }.mnemonic(), "jal");
+        let lw = Insn::Lw {
+            rt: Reg::T0,
+            rs: Reg::Sp,
+            off: 0,
+        };
+        assert_eq!(lw.mnemonic(), "lw");
     }
 
     #[test]

@@ -73,9 +73,12 @@ pub enum OpCode {
 }
 
 impl OpCode {
+    /// Number of opcodes: every byte below this decodes.
+    pub const COUNT: usize = 40;
+
     /// Decode an opcode byte.
     pub fn from_byte(b: u8) -> Option<OpCode> {
-        if b <= 39 {
+        if usize::from(b) < Self::COUNT {
             // SAFETY-free decode: exhaustive match keeps this honest.
             Some(match b {
                 0 => OpCode::Nop,
@@ -327,11 +330,11 @@ mod tests {
 
     #[test]
     fn opcode_roundtrip() {
-        for b in 0..=39u8 {
+        for b in 0..OpCode::COUNT as u8 {
             let op = OpCode::from_byte(b).expect("valid opcode");
             assert_eq!(op as u8, b);
         }
-        assert_eq!(OpCode::from_byte(40), None);
+        assert_eq!(OpCode::from_byte(OpCode::COUNT as u8), None);
         assert_eq!(OpCode::from_byte(255), None);
     }
 

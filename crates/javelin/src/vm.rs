@@ -14,7 +14,8 @@
 //! data-dependent branch and interpreter fallback on guard failure.
 
 use interp_core::{
-    CommandSet, Dispatch, DispatchFault, DispatchStrategy, Language, Phase, RunStats, TraceSink,
+    CmdId, CommandSet, Dispatch, DispatchFault, DispatchStrategy, Language, Phase, RunStats,
+    TraceSink,
 };
 use interp_guard::GuardError;
 use interp_host::{Machine, RoutineId, SimStr, UiEvent};
@@ -124,6 +125,9 @@ pub struct Jvm<'a, S: TraceSink> {
     m: &'a mut Machine<S>,
     rt: Routines,
     commands: CommandSet,
+    /// `commands`' id for each opcode byte, so dispatch never looks a
+    /// name up.
+    op_commands: [CmdId; OpCode::COUNT],
     prog: JProgram,
     /// Simulated-memory address of each function's bytecode.
     code_addrs: Vec<u32>,
@@ -201,10 +205,17 @@ impl<'a, S: TraceSink> Jvm<'a, S> {
         ] {
             commands.intern(name);
         }
+        let op_commands = std::array::from_fn(|b| {
+            let op = OpCode::from_byte(b as u8).expect("every byte below COUNT is an opcode");
+            commands
+                .get(op.mnemonic())
+                .expect("all mnemonics pre-interned")
+        });
         Jvm {
             m: machine,
             rt,
             commands,
+            op_commands,
             prog,
             code_addrs,
             pool,
@@ -235,7 +246,7 @@ impl<'a, S: TraceSink> Jvm<'a, S> {
     }
 
     /// Statistics gathered so far.
-    pub fn stats(&self) -> &RunStats {
+    pub fn stats(&mut self) -> &RunStats {
         self.m.stats()
     }
 
@@ -435,11 +446,7 @@ impl<'a, S: TraceSink> Jvm<'a, S> {
                 ])
             };
             self.executed += 1;
-            let cmd = self
-                .commands
-                .get(op.mnemonic())
-                .expect("all mnemonics pre-interned");
-            self.m.begin_command(cmd);
+            self.m.begin_command(self.op_commands[op as usize]);
             self.m.set_phase(Phase::Execute);
             let mut next_pc = pc + 1 + opn;
             if tiered

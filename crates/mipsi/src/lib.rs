@@ -167,6 +167,13 @@ const FUSED_PAIRS: [(&str, &str); 10] = [
     ("lw", "addiu"),
 ];
 
+/// The virtual command of `insn`: commands are pre-interned in
+/// [`Insn::MNEMONICS`] order, so the id is the instruction's ordinal.
+#[inline]
+fn command_of(insn: Insn) -> CmdId {
+    CmdId(insn.ordinal() as u16)
+}
+
 impl<'a, S: TraceSink> Mipsi<'a, S> {
     /// Load `image` into a fresh guest address space inside `machine`.
     pub fn new(image: &Image, machine: &'a mut Machine<S>) -> Self {
@@ -188,14 +195,9 @@ impl<'a, S: TraceSink> Mipsi<'a, S> {
         let dispatch_table = machine.malloc(64 * 4);
         let counter_addr = machine.malloc(8);
         let mut commands = CommandSet::new("mipsi");
-        // Pre-intern so ids are stable.
-        for m in [
-            "sll", "srl", "sra", "sllv", "srlv", "srav", "jr", "jalr", "syscall", "mfhi", "mflo",
-            "mult", "multu", "div", "divu", "add", "addu", "sub", "subu", "and", "or", "xor",
-            "nor", "slt", "sltu", "beq", "bne", "blez", "bgtz", "bltz", "bgez", "addi", "addiu",
-            "slti", "sltiu", "andi", "ori", "xori", "lui", "lb", "lbu", "lh", "lhu", "lw", "sb",
-            "sh", "sw", "j", "jal",
-        ] {
+        // Pre-intern in ordinal order, so `CmdId(insn.ordinal())` names
+        // each instruction's command without a lookup.
+        for m in Insn::MNEMONICS {
             commands.intern(m);
         }
         let mut emu = Mipsi {
@@ -423,11 +425,7 @@ impl<'a, S: TraceSink> Mipsi<'a, S> {
                         m.shift();
                         m.alu_n(3);
                         self.prev_fetch = Some((pc, mn, haddr));
-                        let cmd = self
-                            .commands
-                            .get(mn)
-                            .expect("all mnemonics pre-interned");
-                        self.begin(cmd);
+                        self.begin(command_of(insn));
                         self.executed += 1;
                         return Ok(insn);
                     }
@@ -477,11 +475,7 @@ impl<'a, S: TraceSink> Mipsi<'a, S> {
         m.sw(ctr, self.executed as u32);
         self.prev_fetch = Some((pc, insn.mnemonic(), haddr));
         // Attribute to the virtual command and hand off to execute.
-        let cmd = self
-            .commands
-            .get(insn.mnemonic())
-            .expect("all mnemonics pre-interned");
-        self.begin(cmd);
+        self.begin(command_of(insn));
         self.executed += 1;
         Ok(insn)
     }

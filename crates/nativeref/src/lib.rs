@@ -30,7 +30,7 @@
 //! # Ok::<(), interp_nativeref::ExecError>(())
 //! ```
 
-use interp_core::{CommandSet, InsnKind, InsnRecord, Phase, TraceSink};
+use interp_core::{CmdId, CommandSet, InsnKind, InsnRecord, Phase, TraceSink};
 use interp_host::Machine;
 use interp_isa::{Image, Insn, Reg, Syscall, GUEST_STACK_TOP};
 
@@ -120,8 +120,11 @@ pub struct DirectExecutor<'a, S: TraceSink> {
     lo: u32,
     pc: u32,
     brk: u32,
-    /// Interned per-mnemonic command ids (for the Table 2 "C" rows).
+    /// Interned per-mnemonic command ids (for the Table 2 "C" rows), in
+    /// first-executed order: that order is part of every artifact.
     commands: CommandSet,
+    /// `commands`' id for each [`Insn::ordinal`], once interned.
+    command_ids: [Option<CmdId>; Insn::MNEMONICS.len()],
     executed: u64,
 }
 
@@ -142,6 +145,7 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
             pc: image.entry,
             brk: image.initial_break,
             commands: CommandSet::new("native"),
+            command_ids: [None; Insn::MNEMONICS.len()],
             executed: 0,
         }
     }
@@ -155,6 +159,13 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
     /// Instructions executed so far.
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// The command id of `insn`'s mnemonic, interned on first use.
+    #[inline]
+    fn command(&mut self, insn: Insn) -> CmdId {
+        let slot = &mut self.command_ids[insn.ordinal()];
+        *slot.get_or_insert_with(|| self.commands.intern(insn.mnemonic()))
     }
 
     #[inline]
@@ -269,7 +280,7 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
     /// Emit the trace record + per-command stats for a control instruction.
     fn retire(&mut self, pc: u32, insn: Insn) {
         self.executed += 1;
-        let cmd = self.commands.intern(insn.mnemonic());
+        let cmd = self.command(insn);
         self.machine.begin_command(cmd);
         let kind = match insn {
             Insn::Jal { target } => InsnKind::Call {
@@ -323,7 +334,7 @@ impl<'a, S: TraceSink> DirectExecutor<'a, S> {
     fn execute_plain(&mut self, pc: u32, insn: Insn) -> Result<Option<i32>, ExecError> {
         use Insn::*;
         self.executed += 1;
-        let cmd = self.commands.intern(insn.mnemonic());
+        let cmd = self.command(insn);
         self.machine.begin_command(cmd);
         let mut kind = InsnKind::Alu;
         match insn {

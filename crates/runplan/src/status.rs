@@ -4,7 +4,9 @@
 //! takes the lock or mutates the cache — `status` must be safe to run
 //! against a campaign in full flight.
 
-use crate::journal::{io_err, load_bytes, JournalDefect, JournalError, JOURNAL_FILE};
+use crate::journal::{
+    io_err, load_bytes, JournalDefect, JournalDefectKind, JournalError, JOURNAL_FILE, MAGIC,
+};
 use crate::lock::{probe, Claims, LockStatus, SessionInfo, Sessions};
 use crate::serve::{render_serve_status, serve_status, ServeStatus};
 use std::collections::BTreeMap;
@@ -19,8 +21,13 @@ pub struct CacheStatus {
     pub bytes: u64,
     /// Fingerprint → label of every valid current-epoch record.
     pub records: BTreeMap<u64, String>,
-    /// Defects a load pass would detect (and an open would heal).
+    /// Defects a load pass would detect (and an open would heal). A torn
+    /// last record under a live lock holder is not one of them: see
+    /// [`Self::append_in_progress`].
     pub defects: Vec<JournalDefect>,
+    /// The snapshot caught an append half written: the file's only flaw
+    /// is a torn last record, and a live writer holds the lock.
+    pub append_in_progress: bool,
     /// The epoch the snapshot was taken under.
     pub epoch: u64,
     /// Advisory lock state (free, or held by whom and whether alive).
@@ -36,9 +43,11 @@ pub struct CacheStatus {
 
 /// Snapshot the cache in `dir` under `epoch` without locking or writing.
 /// The journal bytes are read once; a concurrent writer can at worst
-/// make the snapshot one append stale, or show an append still in
+/// make the snapshot one append stale, or catch an append still in
 /// progress as a torn tail (republishes are atomic renames, and appends
-/// only ever add whole records at the end).
+/// only ever add whole records at the end). A torn tail that is the only
+/// defect while a live holder has the lock is reported as that append,
+/// not as a defect.
 pub fn cache_status(dir: &Path, epoch: u64) -> Result<CacheStatus, JournalError> {
     let path = dir.join(JOURNAL_FILE);
     let (present, bytes) = match std::fs::read(&path) {
@@ -47,6 +56,16 @@ pub fn cache_status(dir: &Path, epoch: u64) -> Result<CacheStatus, JournalError>
         Err(e) => return Err(io_err(&path, "read", e)),
     };
     let loaded = load_bytes(&bytes, epoch);
+    let lock = probe(dir);
+    let mut defects = loaded.defects;
+    let append_in_progress = matches!(lock, LockStatus::Held { live: true, .. })
+        && matches!(
+            defects.as_slice(),
+            [only] if only.kind == JournalDefectKind::TornTail && only.offset >= MAGIC.len()
+        );
+    if append_in_progress {
+        defects.clear();
+    }
     Ok(CacheStatus {
         present,
         bytes: bytes.len() as u64,
@@ -55,9 +74,10 @@ pub fn cache_status(dir: &Path, epoch: u64) -> Result<CacheStatus, JournalError>
             .iter()
             .map(|(fp, rec)| (*fp, rec.label.clone()))
             .collect(),
-        defects: loaded.defects,
+        defects,
+        append_in_progress,
         epoch,
-        lock: probe(dir),
+        lock,
         sessions: Sessions::new(dir).all(),
         claims: Claims::new(dir).count(),
         serve: serve_status(dir),
@@ -86,6 +106,9 @@ pub fn render_cache_status(
             status.bytes,
             status.epoch
         );
+    }
+    if status.append_in_progress {
+        let _ = writeln!(out, "  append: in progress (the lock holder is writing a record)");
     }
     let defect_total = status.defects.len();
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
@@ -180,18 +203,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn records_defects_lock_and_coverage_all_surface() {
-        let dir = fresh_dir("full");
-        // One valid record plus trailing garbage (a torn tail).
+    /// One valid record followed by `tail` in the journal of `dir`.
+    fn seed_with_tail(dir: &Path, tail: &[u8]) {
         let req = request();
         let mut art = RunArtifact::empty();
         art.program_bytes = 1;
         art.console = ConsoleDigest::of("OK\n");
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&encode_record(EPOCH, req.fingerprint(), &req.label(), &art));
-        bytes.extend_from_slice(&[1, 2, 3]);
+        bytes.extend_from_slice(tail);
         std::fs::write(dir.join(JOURNAL_FILE), &bytes).expect("seed");
+    }
+
+    #[test]
+    fn records_defects_lock_and_coverage_all_surface() {
+        let dir = fresh_dir("full");
+        // One valid record, then one whose checksum is wrong: a defect
+        // even while a writer holds the lock.
+        let req = request();
+        let mut record =
+            encode_record(EPOCH, req.fingerprint() ^ 1, "other", &RunArtifact::empty());
+        let last = record.len() - 1;
+        record[last] ^= 0x01;
+        seed_with_tail(&dir, &record);
         let guard = acquire(
             &LockConfig::for_dir(&dir, "status-test", EPOCH)
                 .with_timeout(Duration::from_secs(5)),
@@ -202,6 +236,7 @@ mod tests {
         assert!(status.present);
         assert_eq!(status.records.len(), 1);
         assert_eq!(status.defects.len(), 1);
+        assert!(!status.append_in_progress);
         match &status.lock {
             LockStatus::Held { token, live, .. } => {
                 assert_eq!(token, "status-test");
@@ -211,10 +246,52 @@ mod tests {
         }
         let text = render_cache_status(&status, &dir, Some((1, 4)));
         assert!(text.contains("1 record(s)"), "{text}");
-        assert!(text.contains("defects: 1 (1 torn-tail)"), "{text}");
+        assert!(text.contains("defects: 1 (1 bad-checksum)"), "{text}");
+        assert!(!text.contains("append: in progress"), "{text}");
         assert!(text.contains("held by pid"), "{text}");
         assert!(text.contains("1 of 4 planned run(s) cached (25% reuse"), "{text}");
         drop(guard);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_without_a_live_writer_is_a_defect() {
+        let dir = fresh_dir("torn");
+        seed_with_tail(&dir, &[1, 2, 3]);
+        let status = cache_status(&dir, EPOCH).expect("status");
+        assert_eq!(status.lock, LockStatus::Free);
+        assert!(!status.append_in_progress);
+        let text = render_cache_status(&status, &dir, None);
+        assert!(text.contains("defects: 1 (1 torn-tail)"), "{text}");
+        assert!(!text.contains("append: in progress"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_under_a_live_writer_is_an_append_in_progress() {
+        let dir = fresh_dir("appending");
+        // The first half of a second record: what a lock-free reader sees
+        // while the lock holder's append is still being written.
+        let req = request();
+        let next = encode_record(EPOCH, req.fingerprint() ^ 1, "next", &RunArtifact::empty());
+        seed_with_tail(&dir, &next[..next.len() / 2]);
+        let guard = acquire(
+            &LockConfig::for_dir(&dir, "status-test", EPOCH)
+                .with_timeout(Duration::from_secs(5)),
+        )
+        .expect("lock");
+        let status = cache_status(&dir, EPOCH).expect("status");
+        assert_eq!(status.records.len(), 1);
+        assert!(status.defects.is_empty(), "{:?}", status.defects);
+        assert!(status.append_in_progress);
+        let text = render_cache_status(&status, &dir, None);
+        assert!(text.contains("append: in progress"), "{text}");
+        assert!(text.contains("defects: 0\n"), "{text}");
+        drop(guard);
+        // Once the holder is gone the same bytes are a torn tail again.
+        let status = cache_status(&dir, EPOCH).expect("status");
+        assert!(!status.append_in_progress);
+        assert_eq!(status.defects.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

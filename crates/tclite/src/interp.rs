@@ -131,7 +131,7 @@ impl<'a, S: TraceSink> Tclite<'a, S> {
     }
 
     /// Statistics gathered so far.
-    pub fn stats(&self) -> &RunStats {
+    pub fn stats(&mut self) -> &RunStats {
         self.m.stats()
     }
 

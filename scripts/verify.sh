@@ -2,6 +2,11 @@
 # Tier-1 verification gate.
 #
 #   build + tests      — the seed acceptance bar (must stay green)
+#   unit tests         — the lib and integration tests of the crates that
+#                        hold the machine's accounting (core, host), the
+#                        ISA tables and the dispatch loops (mipsi,
+#                        javelin, nativeref); tier 1 runs only the root
+#                        package's tests.
 #   clippy strictness  — `unwrap_used` / `panic` are denied workspace-wide
 #                        in shipped code. Test modules are exempt (the
 #                        default clippy targets do not lint `#[cfg(test)]`
@@ -84,6 +89,10 @@ cargo build --release
 
 echo "== tests =="
 cargo test -q
+
+echo "== unit tests of the accounting, ISA and dispatch crates =="
+cargo test --release -q -p interp-core -p interp-host -p interp-isa -p interp-mipsi \
+  -p interp-javelin -p interp-nativeref
 
 echo "== clippy gate (no unwrap, no panic in shipped code) =="
 cargo clippy --workspace -q -- \
