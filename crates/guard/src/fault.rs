@@ -23,14 +23,6 @@ pub enum FaultKind {
     Garbage { count: u32 },
     /// Fail the `nth` simulated heap allocation (1-based).
     AllocFail { nth: u64 },
-    /// Pool-level fault: the worker executing the run wedges (burns its
-    /// fuel budget without finishing), so a deadline watchdog must trip.
-    /// Guest corruption routines ignore this kind — it targets the
-    /// orchestration layer, not the guest.
-    WorkerStall,
-    /// Pool-level fault: the run finishes but its artifact is lost before
-    /// landing in the store slot. Guest corruption routines ignore it.
-    ArtifactDrop,
 }
 
 /// A deterministic corruption recipe for one guarded run.
@@ -69,23 +61,6 @@ impl FaultPlan {
             _ => FaultKind::Garbage { count: 1 + rng.range(0, 24) as u32 },
         };
         FaultPlan { seed, kind }
-    }
-
-    /// Sweep lane for the worker pool itself (supervision chaos): worker
-    /// stalls and artifact drops, with a baseline lane.
-    pub fn pool_sweep(seed: u64) -> Self {
-        let kind = match seed % 4 {
-            0 => FaultKind::None,
-            1 => FaultKind::ArtifactDrop,
-            _ => FaultKind::WorkerStall,
-        };
-        FaultPlan { seed, kind }
-    }
-
-    /// True for kinds that target the orchestration layer (worker pool)
-    /// rather than the guest program.
-    pub fn is_pool_fault(&self) -> bool {
-        matches!(self.kind, FaultKind::WorkerStall | FaultKind::ArtifactDrop)
     }
 
     /// The corruption stream for this plan.
@@ -228,36 +203,6 @@ mod tests {
         assert!(src.contains(&FaultKind::Truncate));
         assert!(src.iter().any(|k| matches!(k, FaultKind::Garbage { .. })));
         assert!(src.iter().any(|k| matches!(k, FaultKind::AllocFail { .. })));
-    }
-
-    #[test]
-    fn pool_sweep_covers_both_pool_faults() {
-        let kinds: Vec<FaultKind> = (0..8).map(|s| FaultPlan::pool_sweep(s).kind).collect();
-        assert!(kinds.contains(&FaultKind::None));
-        assert!(kinds.contains(&FaultKind::WorkerStall));
-        assert!(kinds.contains(&FaultKind::ArtifactDrop));
-        for seed in 0..8 {
-            assert_eq!(FaultPlan::pool_sweep(seed), FaultPlan::pool_sweep(seed));
-        }
-    }
-
-    #[test]
-    fn pool_faults_do_not_corrupt_guests() {
-        for kind in [FaultKind::WorkerStall, FaultKind::ArtifactDrop] {
-            let plan = FaultPlan { seed: 3, kind };
-            assert!(plan.is_pool_fault());
-            let mut bytes = vec![7u8; 8];
-            let mut words = vec![9u32; 8];
-            let mut text = "set x 1".to_string();
-            plan.corrupt_bytes(&mut bytes);
-            plan.corrupt_words(&mut words);
-            plan.corrupt_text(&mut text);
-            assert_eq!(bytes, vec![7u8; 8]);
-            assert_eq!(words, vec![9u32; 8]);
-            assert_eq!(text, "set x 1");
-            assert_eq!(plan.alloc_fail_at(), None);
-        }
-        assert!(!FaultPlan::none().is_pool_fault());
     }
 
     #[test]

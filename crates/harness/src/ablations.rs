@@ -259,15 +259,10 @@ pub fn render_from(store: &ArtifactStore, scale: Scale) -> String {
     out
 }
 
-/// Render all ablations as text (self-contained plan).
-pub fn render(scale: Scale) -> String {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    render_from(&executed.store, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_store as store;
     use interp_core::{NullSink, TraceSink};
     use interp_host::Machine;
     use interp_workloads::minic_progs;
@@ -356,13 +351,6 @@ for ($i = 0; $i < 200; $i++) { $c = $h{alpha_key} + $h{beta_key}; }"#,
             scalar_cost,
             hash_cost,
         }
-    }
-
-    /// Every run the ablations read at test scale, executed once and
-    /// shared by the tests below.
-    fn store() -> &'static ArtifactStore {
-        static STORE: std::sync::OnceLock<ArtifactStore> = std::sync::OnceLock::new();
-        STORE.get_or_init(|| interp_runplan::run_all(requests(Scale::Test), 2).store)
     }
 
     #[test]

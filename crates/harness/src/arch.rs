@@ -88,13 +88,6 @@ pub fn fig3_from(store: &ArtifactStore, scale: Scale) -> Vec<Fig3Bar> {
         .collect()
 }
 
-/// Run the pipeline model over the interpreted suite plus the compiled
-/// comparison set (self-contained plan).
-pub fn fig3(scale: Scale) -> Vec<Fig3Bar> {
-    let executed = interp_runplan::run_all(fig3_requests(scale), interp_runplan::default_jobs());
-    fig3_from(&executed.store, scale)
-}
-
 /// One Figure 4 series: a benchmark's I-cache miss rates over the
 /// size × associativity grid.
 #[derive(Debug, Clone)]
@@ -160,12 +153,6 @@ pub fn fig4_from(store: &ArtifactStore, scale: Scale) -> Vec<Fig4Series> {
             }
         })
         .collect()
-}
-
-/// Run the Figure 4 sweep (self-contained plan).
-pub fn fig4(scale: Scale) -> Vec<Fig4Series> {
-    let executed = interp_runplan::run_all(fig4_requests(scale), interp_runplan::default_jobs());
-    fig4_from(&executed.store, scale)
 }
 
 /// Render Figure 3 as text.
@@ -235,13 +222,14 @@ pub fn render_fig4(series: &[Fig4Series]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_store;
     use interp_archsim::PipelineSim;
     use std::sync::OnceLock;
 
     /// Each test needs the full Figure 3 run; compute it once.
     fn fig3_bars() -> &'static [Fig3Bar] {
         static BARS: OnceLock<Vec<Fig3Bar>> = OnceLock::new();
-        BARS.get_or_init(|| fig3(Scale::Test))
+        BARS.get_or_init(|| fig3_from(test_store(), Scale::Test))
     }
 
     fn mean<'a>(bars: impl Iterator<Item = &'a Fig3Bar>, f: impl Fn(&Fig3Bar) -> f64) -> f64 {
@@ -341,7 +329,7 @@ mod tests {
 
     #[test]
     fn fig4_capacity_and_associativity_trends() {
-        let series = fig4(Scale::Test);
+        let series = fig4_from(test_store(), Scale::Test);
         assert_eq!(series.len(), 18);
         for s in &series {
             // Capacity: miss rate non-increasing with size at fixed assoc.
@@ -430,7 +418,7 @@ mod tests {
     fn renders() {
         let bars = fig3_bars();
         assert!(render_fig3(bars).contains("C-compress"));
-        let series = fig4(Scale::Test);
+        let series = fig4_from(test_store(), Scale::Test);
         assert!(render_fig4(&series).contains("8K/1w"));
     }
 }

@@ -59,8 +59,10 @@
 //! the classic six-column table (default: naive only).
 //!
 //! Persistence: `--cache-dir DIR` journals every completed artifact to
-//! `DIR/artifacts.journal` (checksummed, atomically replaced on each
-//! append), and `--resume` loads that journal first and re-executes only
+//! `DIR/artifacts.journal` (one checksummed record appended in place
+//! and data-synced per run; every other rewrite, such as the canonical
+//! image written when the campaign closes, is an atomic rename), and
+//! `--resume` loads that journal first and re-executes only
 //! the runs it does not already hold — a crashed or interrupted
 //! invocation picks up where it left off, byte-identical to a cold run.
 //! `--resume` alone uses the default cache dir (`.repro-cache/`).
@@ -211,10 +213,9 @@ struct Cli {
     /// `--seeds` if given; `guard` and `conform` default to 64, `chaos`
     /// to 8, `journal-chaos` to 16 (one full lane rotation).
     seeds: Option<u64>,
-    /// `--retries` if given. Batch supervision defaults to 1;
-    /// `repro serve` keeps [`ServeConfig::new`]'s own default (2) when
-    /// the flag is absent rather than silently overriding it.
-    retries: Option<u32>,
+    /// `--retries` (default 1): the pool's retry budget for transient
+    /// failures, the same in batch runs and under `serve`.
+    retries: u32,
     /// Cooperative fuel deadline per attempt, if any.
     timeout_fuel: Option<u64>,
     /// Exit 3 instead of 0 when the report is degraded.
@@ -260,7 +261,7 @@ struct Cli {
 impl Cli {
     /// The supervision policy the flags describe.
     fn supervise_config(&self) -> SuperviseConfig {
-        let config = SuperviseConfig::new().with_retries(self.retries.unwrap_or(1));
+        let config = SuperviseConfig::new().with_retries(self.retries);
         match self.timeout_fuel {
             Some(fuel) => config.with_timeout_fuel(fuel),
             None => config,
@@ -286,7 +287,7 @@ fn parse(args: &[String]) -> Cli {
     let mut paper_alias = false;
     let mut jobs: Option<usize> = None;
     let mut seeds: Option<u64> = None;
-    let mut retries: Option<u32> = None;
+    let mut retries: u32 = 1;
     let mut timeout_fuel: Option<u64> = None;
     let mut strict = false;
     let mut cache_dir: Option<PathBuf> = None;
@@ -348,7 +349,7 @@ fn parse(args: &[String]) -> Cli {
         } else if arg == "--retries" || arg.starts_with("--retries=") {
             let v = take_value("--retries");
             match v.parse::<u32>() {
-                Ok(n) => retries = Some(n),
+                Ok(n) => retries = n,
                 _ => bail(&format!("--retries expects a non-negative integer, got `{v}`")),
             }
         } else if arg == "--timeout-fuel" || arg.starts_with("--timeout-fuel=") {
@@ -772,11 +773,6 @@ fn run_serve(cli: &Cli) -> ! {
     config.lock_timeout = cli.lock_timeout_or_default();
     config.max_requests = cli.max_requests;
     config.crash_after = cli.crash_after;
-    // Only an explicit --retries overrides ServeConfig's own default
-    // degraded-request re-drive budget.
-    if let Some(n) = cli.retries {
-        config.request_retries = n;
-    }
     if let Some(n) = cli.serve_jobs {
         config.serve_jobs = n;
     }

@@ -13,7 +13,7 @@
 //! [`RunRequest`] fingerprints, so the shared plan runs each workload
 //! once); non-naive rows add one pipeline run per supported strategy.
 
-use interp_core::{DispatchSelection, DispatchStrategy, Language, Phase, RunRequest};
+use interp_core::{DispatchSelection, DispatchStrategy, Language, Phase, RunRequest, RunStats};
 use interp_runplan::ArtifactStore;
 use interp_workloads::{macro_suite, Scale};
 
@@ -99,6 +99,79 @@ pub fn dispatch_from(
     rows
 }
 
+/// One language's macro-suite totals under one dispatch strategy: the
+/// sums every per-suite row (this module's and [`crate::tiered`]'s) is
+/// built from.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SuiteSums {
+    pub commands: u64,
+    /// Steady-state native instructions.
+    pub native: u64,
+    pub fetch_decode: u64,
+    pub cycles: u64,
+    /// Cycles weighted by their I-cache-miss issue-slot fraction.
+    pub imiss_cycles: f64,
+    /// Cycles weighted by their branch-mispredict issue-slot fraction.
+    pub mispredict_cycles: f64,
+}
+
+impl SuiteSums {
+    /// `n` per virtual command (0 for an empty suite).
+    pub fn per_cmd(&self, n: u64) -> f64 {
+        if self.commands == 0 {
+            0.0
+        } else {
+            n as f64 / self.commands as f64
+        }
+    }
+
+    /// Cycle-weighted `x` as a share of all cycles (0 for no cycles).
+    pub fn per_cycle(&self, x: f64) -> f64 {
+        if self.cycles == 0 {
+            0.0
+        } else {
+            x / self.cycles as f64
+        }
+    }
+}
+
+/// Sum `language`'s macro suite under `strategy` from the store's
+/// pipeline artifacts, handing each healthy run's stats to `each` for
+/// any extra counters. A degraded run makes the whole suite degraded:
+/// the last run's marker is returned in place of the sums.
+pub(crate) fn sum_suite(
+    store: &ArtifactStore,
+    scale: Scale,
+    language: Language,
+    strategy: DispatchStrategy,
+    mut each: impl FnMut(&RunStats),
+) -> Result<SuiteSums, String> {
+    let mut sums = SuiteSums::default();
+    let mut degraded = None;
+    for workload in macro_suite(scale).into_iter().filter(|w| w.language == language) {
+        let request = RunRequest::pipeline(workload).with_dispatch(strategy);
+        match crate::degrade::cell(store, &request) {
+            Ok(artifact) => {
+                let stats = &artifact.stats;
+                sums.commands += stats.commands;
+                sums.native += stats.steady_state_instructions();
+                sums.fetch_decode += stats.phase_instructions(Phase::FetchDecode);
+                each(stats);
+                let summary = artifact.cycle_summary();
+                sums.cycles += summary.cycles;
+                sums.imiss_cycles += summary.cycles as f64 * summary.stall_fraction("imiss");
+                sums.mispredict_cycles +=
+                    summary.cycles as f64 * summary.stall_fraction("mispredict");
+            }
+            Err(marker) => degraded = Some(marker),
+        }
+    }
+    match degraded {
+        Some(marker) => Err(marker),
+        None => Ok(sums),
+    }
+}
+
 /// Sum one language's macro suite under one strategy into a row.
 fn suite_row(
     store: &ArtifactStore,
@@ -106,32 +179,20 @@ fn suite_row(
     language: Language,
     strategy: DispatchStrategy,
 ) -> DispatchRow {
-    let mut commands = 0u64;
-    let mut native = 0u64;
-    let mut fetch_decode = 0u64;
-    let mut cycles = 0u64;
-    let mut imiss_cycles = 0.0f64;
-    let mut mispredict_cycles = 0.0f64;
-    let mut degraded = None;
-    for workload in macro_suite(scale).into_iter().filter(|w| w.language == language) {
-        let request = RunRequest::pipeline(workload).with_dispatch(strategy);
-        match crate::degrade::cell(store, &request) {
-            Ok(artifact) => {
-                let stats = &artifact.stats;
-                commands += stats.commands;
-                native += stats.steady_state_instructions();
-                fetch_decode += stats.phase_instructions(Phase::FetchDecode);
-                let summary = artifact.cycle_summary();
-                cycles += summary.cycles;
-                imiss_cycles += summary.cycles as f64 * summary.stall_fraction("imiss");
-                mispredict_cycles +=
-                    summary.cycles as f64 * summary.stall_fraction("mispredict");
-            }
-            Err(marker) => degraded = Some(marker),
-        }
-    }
-    if degraded.is_some() {
-        return DispatchRow {
+    match sum_suite(store, scale, language, strategy, |_| {}) {
+        Ok(sums) => DispatchRow {
+            language,
+            strategy,
+            commands: sums.commands,
+            native_instructions: sums.native,
+            insns_per_command: sums.per_cmd(sums.native),
+            fetch_decode_per_command: sums.per_cmd(sums.fetch_decode),
+            delta_vs_naive_pct: None,
+            imiss_fraction: sums.per_cycle(sums.imiss_cycles),
+            mispredict_fraction: sums.per_cycle(sums.mispredict_cycles),
+            degraded: None,
+        },
+        Err(marker) => DispatchRow {
             language,
             strategy,
             commands: 0,
@@ -141,32 +202,9 @@ fn suite_row(
             delta_vs_naive_pct: None,
             imiss_fraction: 0.0,
             mispredict_fraction: 0.0,
-            degraded,
-        };
+            degraded: Some(marker),
+        },
     }
-    let per_cmd = |n: u64| if commands == 0 { 0.0 } else { n as f64 / commands as f64 };
-    let frac = |stall: f64| if cycles == 0 { 0.0 } else { stall / cycles as f64 };
-    DispatchRow {
-        language,
-        strategy,
-        commands,
-        native_instructions: native,
-        insns_per_command: per_cmd(native),
-        fetch_decode_per_command: per_cmd(fetch_decode),
-        delta_vs_naive_pct: None,
-        imiss_fraction: frac(imiss_cycles),
-        mispredict_fraction: frac(mispredict_cycles),
-        degraded: None,
-    }
-}
-
-/// Compute all rows with a self-contained plan (`repro` shares one plan
-/// across experiments instead).
-pub fn dispatch(scale: Scale) -> Vec<DispatchRow> {
-    let selection = DispatchSelection::all();
-    let executed =
-        interp_runplan::run_all(requests_with(scale, &selection), interp_runplan::default_jobs());
-    dispatch_from(&executed.store, scale, &selection)
 }
 
 /// Render paper-style text.
@@ -231,7 +269,9 @@ mod tests {
     fn rows() -> &'static [DispatchRow] {
         use std::sync::OnceLock;
         static ROWS: OnceLock<Vec<DispatchRow>> = OnceLock::new();
-        ROWS.get_or_init(|| dispatch(Scale::Test))
+        ROWS.get_or_init(|| {
+            dispatch_from(crate::experiments::test_store(), Scale::Test, &DispatchSelection::all())
+        })
     }
 
     fn row(rows: &[DispatchRow], lang: Language, strategy: DispatchStrategy) -> &DispatchRow {

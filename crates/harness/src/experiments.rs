@@ -218,6 +218,19 @@ pub fn render_table3() -> String {
     out
 }
 
+/// Every run `repro all` plans at test scale, executed once per test
+/// binary and shared by the experiment modules' unit tests — the same
+/// deduplicated, subsuming plan the CLI renders from.
+#[cfg(test)]
+pub(crate) fn test_store() -> &'static ArtifactStore {
+    use interp_runplan::{default_jobs, execute_supervised, SuperviseConfig};
+    static STORE: std::sync::OnceLock<ArtifactStore> = std::sync::OnceLock::new();
+    STORE.get_or_init(|| {
+        let plan = Plan::build(all_requests(Scale::Test));
+        execute_supervised(&plan, default_jobs(), &SuperviseConfig::new()).store
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,12 +62,6 @@ pub fn fig1_from(store: &ArtifactStore, scale: Scale) -> Vec<Fig1Series> {
         .collect()
 }
 
-/// Compute Figure 1 for the whole macro suite (self-contained plan).
-pub fn fig1(scale: Scale) -> Vec<Fig1Series> {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    fig1_from(&executed.store, scale)
-}
-
 /// Figure 2: paired histograms (command count % vs. execute instruction %)
 /// for the top commands of one benchmark.
 #[derive(Debug, Clone)]
@@ -103,12 +97,6 @@ pub fn fig2_from(store: &ArtifactStore, scale: Scale) -> Vec<Fig2Panel> {
             }
         })
         .collect()
-}
-
-/// Compute Figure 2 panels (self-contained plan).
-pub fn fig2(scale: Scale) -> Vec<Fig2Panel> {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    fig2_from(&executed.store, scale)
 }
 
 /// Render Figure 1 as text.
@@ -172,10 +160,16 @@ pub fn render_fig2(panels: &[Fig2Panel]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_store;
+    use interp_runplan::{default_jobs, execute_supervised, ExecutedPlan, Plan, SuperviseConfig};
+
+    fn execute(requests: impl IntoIterator<Item = RunRequest>) -> ExecutedPlan {
+        execute_supervised(&Plan::build(requests), default_jobs(), &SuperviseConfig::new())
+    }
 
     #[test]
     fn fig1_concentration_claims() {
-        let series = fig1(Scale::Test);
+        let series = fig1_from(test_store(), Scale::Test);
         assert_eq!(series.len(), 23);
         // Tcl des: a couple of commands dominate (paper: 2 commands = 96%).
         let tcl_des = series
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn fig2_txt2html_is_match_dominated() {
-        let panels = fig2(Scale::Test);
+        let panels = fig2_from(test_store(), Scale::Test);
         let panel = panels
             .iter()
             .find(|p| p.language == Language::Perlite && p.benchmark == "txt2html")
@@ -225,7 +219,7 @@ mod tests {
 
     #[test]
     fn fig2_mipsi_memory_ops_rank_high() {
-        let panels = fig2(Scale::Test);
+        let panels = fig2_from(test_store(), Scale::Test);
         let panel = panels
             .iter()
             .find(|p| p.language == Language::Mipsi && p.benchmark == "compress")
@@ -239,7 +233,7 @@ mod tests {
 
     #[test]
     fn fig2_java_native_share_for_graphics() {
-        let panels = fig2(Scale::Test);
+        let panels = fig2_from(test_store(), Scale::Test);
         let hanoi = panels
             .iter()
             .find(|p| p.language == Language::Javelin && p.benchmark == "hanoi")
@@ -261,21 +255,22 @@ mod tests {
         let union = requests(scale)
             .into_iter()
             .chain(crate::table2::requests(scale));
-        let executed = interp_runplan::run_all(union, interp_runplan::default_jobs());
+        let executed = execute(union);
         assert_eq!(
             executed.store.len(),
             24,
             "counting runs subsumed: only the 24 pipeline runs execute"
         );
-        let direct = render_fig1(&fig1(scale));
+        let counting_only = execute(requests(scale));
+        let direct = render_fig1(&fig1_from(&counting_only.store, scale));
         let shared = render_fig1(&fig1_from(&executed.store, scale));
         assert_eq!(direct, shared);
     }
 
     #[test]
     fn renders_are_nonempty() {
-        let f1 = fig1(Scale::Test);
-        let f2 = fig2(Scale::Test);
+        let f1 = fig1_from(test_store(), Scale::Test);
+        let f2 = fig2_from(test_store(), Scale::Test);
         assert!(render_fig1(&f1).contains("90% at top-"));
         assert!(render_fig2(&f2).contains("% insns"));
     }

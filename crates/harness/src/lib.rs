@@ -6,12 +6,12 @@
 //! |---|---|
 //! | Table 1 (microbenchmark slowdowns) | [`table1`] |
 //! | Table 2 (baseline measurements) | [`table2`] |
-//! | Figure 1 (cumulative command distributions) | [`figures::fig1`] |
-//! | Figure 2 (per-command histograms) | [`figures::fig2`] |
+//! | Figure 1 (cumulative command distributions) | [`figures::fig1_from`] |
+//! | Figure 2 (per-command histograms) | [`figures::fig2_from`] |
 //! | §3.3 (memory model) | [`memmodel`] |
 //! | Table 3 (machine parameters) | [`interp_archsim::SimConfig::default`] |
-//! | Figure 3 (issue-slot breakdown) | [`arch::fig3`] |
-//! | Figure 4 (I-cache sweep) | [`arch::fig4`] |
+//! | Figure 3 (issue-slot breakdown) | [`arch::fig3_from`] |
+//! | Figure 4 (I-cache sweep) | [`arch::fig4_from`] |
 //! | Dispatch tiers (threaded/superinstr/inline-cache deltas) | [`dispatch`] |
 //! | Tiered execution (trace recording vs the pure tiers, not in the paper) | [`tiered`] |
 //! | Ablations (iTLB, dispatch, symbol table, precompilation) | [`ablations`] |
@@ -33,18 +33,19 @@
 //! The `repro` driver unions every selected experiment's requests into
 //! one deduplicated [`interp_runplan::Plan`], executes it once on the
 //! worker pool, and feeds the same store to every renderer — so a
-//! workload that several experiments need runs exactly once. The
-//! argument-compatible entry points (`table1(scale)`, `fig3(scale)`, …)
-//! remain for callers that want one experiment in isolation; they build
-//! and execute a private plan.
+//! workload that several experiments need runs exactly once. A caller
+//! that wants one experiment in isolation plans its requests alone and
+//! reads them back the same way.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use interp_harness::{table1, Scale};
+//! use interp_runplan::{default_jobs, execute_supervised, Plan, SuperviseConfig};
 //!
-//! let rows = table1::table1(Scale::Test);
-//! println!("{}", table1::render(&rows));
+//! let plan = Plan::build(table1::requests(Scale::Test));
+//! let executed = execute_supervised(&plan, default_jobs(), &SuperviseConfig::new());
+//! println!("{}", table1::render(&table1::table1_from(&executed.store, Scale::Test)));
 //! ```
 
 pub mod ablations;

@@ -63,13 +63,6 @@ pub fn memmodel_from(store: &ArtifactStore, scale: Scale) -> Vec<MemModelRow> {
         .collect()
 }
 
-/// Compute memory-model rows for the interpreted macro suite
-/// (self-contained plan).
-pub fn memmodel(scale: Scale) -> Vec<MemModelRow> {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    memmodel_from(&executed.store, scale)
-}
-
 /// Render as text.
 pub fn render(rows: &[MemModelRow]) -> String {
     use std::fmt::Write as _;
@@ -106,6 +99,7 @@ pub fn render(rows: &[MemModelRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_store;
 
     fn avg(rows: &[MemModelRow], lang: Language, f: impl Fn(&MemModelRow) -> f64) -> f64 {
         let xs: Vec<f64> = rows
@@ -118,7 +112,7 @@ mod tests {
 
     #[test]
     fn section_3_3_orderings() {
-        let rows = memmodel(Scale::Test);
+        let rows = memmodel_from(test_store(), Scale::Test);
         assert_eq!(rows.len(), 23);
 
         // MIPSI: uniform page-table cost, tens of instructions/access,
@@ -148,7 +142,7 @@ mod tests {
 
     #[test]
     fn render_has_rows() {
-        let rows = memmodel(Scale::Test);
+        let rows = memmodel_from(test_store(), Scale::Test);
         let text = render(&rows);
         assert!(text.contains("instr/access"));
         assert!(text.contains("tcllex"));

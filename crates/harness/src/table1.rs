@@ -84,13 +84,6 @@ pub fn table1_from(store: &ArtifactStore, scale: Scale) -> Vec<Table1Row> {
         .collect()
 }
 
-/// Compute all Table 1 rows (plans and executes this table's runs alone;
-/// `repro` shares one plan across experiments instead).
-pub fn table1(scale: Scale) -> Vec<Table1Row> {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    table1_from(&executed.store, scale)
-}
-
 /// Render paper-style text.
 pub fn render(rows: &[Table1Row]) -> String {
     use std::fmt::Write as _;
@@ -124,6 +117,7 @@ pub fn render(rows: &[Table1Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_store;
 
     #[test]
     fn requests_cover_the_whole_grid() {
@@ -133,7 +127,7 @@ mod tests {
 
     #[test]
     fn table1_shape_matches_the_paper() {
-        let rows = table1(Scale::Test);
+        let rows = table1_from(test_store(), Scale::Test);
         assert_eq!(rows.len(), 6);
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
 
@@ -195,7 +189,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let rows = table1(Scale::Test);
+        let rows = table1_from(test_store(), Scale::Test);
         let text = render(&rows);
         for name in interp_workloads::micro::MICRO_NAMES {
             assert!(text.contains(name));

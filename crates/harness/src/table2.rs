@@ -76,13 +76,6 @@ pub fn table2_from(store: &ArtifactStore, scale: Scale) -> Vec<Table2Row> {
         .collect()
 }
 
-/// Compute all Table 2 rows (self-contained plan; `repro` shares one plan
-/// across experiments instead).
-pub fn table2(scale: Scale) -> Vec<Table2Row> {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    table2_from(&executed.store, scale)
-}
-
 /// Render paper-style text.
 pub fn render(rows: &[Table2Row]) -> String {
     use std::fmt::Write as _;
@@ -123,6 +116,7 @@ pub fn render(rows: &[Table2Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_store;
 
     fn avg_fd(rows: &[Table2Row], lang: Language) -> f64 {
         let xs: Vec<f64> = rows
@@ -135,7 +129,7 @@ mod tests {
 
     #[test]
     fn table2_reproduces_the_paper_ordering() {
-        let rows = table2(Scale::Test);
+        let rows = table2_from(test_store(), Scale::Test);
         assert_eq!(rows.len(), 24);
 
         // C row: zero fetch/decode; execute ratio ~1.0 (slightly above
@@ -186,7 +180,7 @@ mod tests {
 
     #[test]
     fn render_contains_sections() {
-        let rows = table2(Scale::Test);
+        let rows = table2_from(test_store(), Scale::Test);
         let text = render(&rows);
         for lang in Language::ALL {
             assert!(text.contains(lang.label()));

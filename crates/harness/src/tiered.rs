@@ -15,7 +15,8 @@
 //! Every request is a plain pipeline run of the same workloads the
 //! `dispatch` family uses, so the shared plan deduplicates all of them.
 
-use interp_core::{DispatchStrategy, Language, Phase, RunRequest};
+use crate::dispatch::sum_suite;
+use interp_core::{DispatchStrategy, Language, RunRequest};
 use interp_runplan::ArtifactStore;
 use interp_workloads::{macro_suite, Scale};
 
@@ -108,68 +109,44 @@ pub fn tiered_from(store: &ArtifactStore, scale: Scale) -> Vec<TieredRow> {
 
 /// Sum Javelin's macro suite under one strategy into a row.
 fn suite_row(store: &ArtifactStore, scale: Scale, strategy: DispatchStrategy) -> TieredRow {
-    let mut commands = 0u64;
-    let mut native = 0u64;
-    let mut fetch_decode = 0u64;
     let mut trace_commands = 0u64;
     let mut trace_side_exits = 0u64;
     let mut traces_recorded = 0u64;
     let mut trace_aborts = 0u64;
-    let mut cycles = 0u64;
-    let mut imiss_cycles = 0.0f64;
-    let mut mispredict_cycles = 0.0f64;
-    let mut degraded = None;
-    for workload in macro_suite(scale)
-        .into_iter()
-        .filter(|w| w.language == Language::Javelin)
-    {
-        let request = RunRequest::pipeline(workload).with_dispatch(strategy);
-        match crate::degrade::cell(store, &request) {
-            Ok(artifact) => {
-                let stats = &artifact.stats;
-                commands += stats.commands;
-                native += stats.steady_state_instructions();
-                fetch_decode += stats.phase_instructions(Phase::FetchDecode);
-                trace_commands += stats.trace_commands;
-                trace_side_exits += stats.trace_side_exits;
-                traces_recorded += stats.traces_recorded;
-                trace_aborts += stats.trace_aborts;
-                let summary = artifact.cycle_summary();
-                cycles += summary.cycles;
-                imiss_cycles += summary.cycles as f64 * summary.stall_fraction("imiss");
-                mispredict_cycles +=
-                    summary.cycles as f64 * summary.stall_fraction("mispredict");
+    let summed = sum_suite(store, scale, Language::Javelin, strategy, |stats| {
+        trace_commands += stats.trace_commands;
+        trace_side_exits += stats.trace_side_exits;
+        traces_recorded += stats.traces_recorded;
+        trace_aborts += stats.trace_aborts;
+    });
+    let sums = match summed {
+        Ok(sums) => sums,
+        Err(marker) => {
+            return TieredRow {
+                strategy,
+                commands: 0,
+                native_instructions: 0,
+                insns_per_command: 0.0,
+                fetch_decode_per_command: 0.0,
+                trace_coverage_pct: 0.0,
+                side_exits_per_kcmd: 0.0,
+                traces_recorded: 0,
+                trace_aborts: 0,
+                delta_vs_naive_pct: None,
+                delta_vs_threaded_pct: None,
+                imiss_fraction: 0.0,
+                mispredict_fraction: 0.0,
+                degraded: Some(marker),
             }
-            Err(marker) => degraded = Some(marker),
         }
-    }
-    if degraded.is_some() {
-        return TieredRow {
-            strategy,
-            commands: 0,
-            native_instructions: 0,
-            insns_per_command: 0.0,
-            fetch_decode_per_command: 0.0,
-            trace_coverage_pct: 0.0,
-            side_exits_per_kcmd: 0.0,
-            traces_recorded: 0,
-            trace_aborts: 0,
-            delta_vs_naive_pct: None,
-            delta_vs_threaded_pct: None,
-            imiss_fraction: 0.0,
-            mispredict_fraction: 0.0,
-            degraded,
-        };
-    }
-    let per_cmd = |n: u64| if commands == 0 { 0.0 } else { n as f64 / commands as f64 };
-    let frac = |stall: f64| if cycles == 0 { 0.0 } else { stall / cycles as f64 };
+    };
     TieredRow {
         strategy,
-        commands,
-        native_instructions: native,
-        insns_per_command: per_cmd(native),
-        fetch_decode_per_command: per_cmd(fetch_decode),
-        trace_coverage_pct: per_cmd(trace_commands) * 100.0,
+        commands: sums.commands,
+        native_instructions: sums.native,
+        insns_per_command: sums.per_cmd(sums.native),
+        fetch_decode_per_command: sums.per_cmd(sums.fetch_decode),
+        trace_coverage_pct: sums.per_cmd(trace_commands) * 100.0,
         side_exits_per_kcmd: if trace_commands == 0 {
             0.0
         } else {
@@ -179,17 +156,10 @@ fn suite_row(store: &ArtifactStore, scale: Scale, strategy: DispatchStrategy) ->
         trace_aborts,
         delta_vs_naive_pct: None,
         delta_vs_threaded_pct: None,
-        imiss_fraction: frac(imiss_cycles),
-        mispredict_fraction: frac(mispredict_cycles),
+        imiss_fraction: sums.per_cycle(sums.imiss_cycles),
+        mispredict_fraction: sums.per_cycle(sums.mispredict_cycles),
         degraded: None,
     }
-}
-
-/// Compute all rows with a self-contained plan (`repro` shares one plan
-/// across experiments instead).
-pub fn tiered(scale: Scale) -> Vec<TieredRow> {
-    let executed = interp_runplan::run_all(requests(scale), interp_runplan::default_jobs());
-    tiered_from(&executed.store, scale)
 }
 
 /// Render paper-style text.
@@ -257,7 +227,7 @@ mod tests {
     fn rows() -> &'static [TieredRow] {
         use std::sync::OnceLock;
         static ROWS: OnceLock<Vec<TieredRow>> = OnceLock::new();
-        ROWS.get_or_init(|| tiered(Scale::Test))
+        ROWS.get_or_init(|| tiered_from(crate::experiments::test_store(), Scale::Test))
     }
 
     fn row(rows: &[TieredRow], strategy: DispatchStrategy) -> &TieredRow {

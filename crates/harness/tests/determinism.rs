@@ -8,9 +8,13 @@ use interp_core::{Language, RunRequest, WorkloadId};
 use interp_harness::{ablations, arch, figures, memmodel, table1, table2, tiered, Scale};
 use interp_guard::Limits;
 use interp_runplan::{
-    execute, render_failures, supervise_with, try_run_request, with_quiet_injected_panics, Plan,
-    SuperviseConfig,
+    execute_supervised, render_failures, supervise_with, try_run_request,
+    with_quiet_injected_panics, ExecutedPlan, Plan, SuperviseConfig,
 };
+
+fn execute(plan: &Plan, jobs: usize) -> ExecutedPlan {
+    execute_supervised(plan, jobs, &SuperviseConfig::new())
+}
 
 #[test]
 fn table_renderings_are_byte_identical_across_job_counts() {

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use interp_harness::experiments::{all_requests, render_target};
 use interp_harness::{guard_sweep, Scale};
-use interp_runplan::{execute, Plan};
+use interp_runplan::{execute_supervised, Plan, SuperviseConfig};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -57,7 +57,7 @@ fn renderer_outputs_match_committed_goldens() {
     let plan = Plan::build(all_requests(scale));
     // Renders are job-count-invariant (pinned by the determinism test),
     // so any worker count produces the same bytes.
-    let executed = execute(&plan, 4);
+    let executed = execute_supervised(&plan, 4, &SuperviseConfig::new());
     let store = &executed.store;
 
     check("table1", &render_target("table1", store, scale));

@@ -1309,10 +1309,14 @@ where
 /// planned request, answer the plan from it exactly as the locked path
 /// would (every slot reused, zero durations, zero attempts).
 ///
-/// Safe without the lock: every image is published by rename, so a read
-/// sees one whole image, never a half-written one; within an epoch a
-/// record is never rewritten, only added (or dropped by a cold run's
-/// truncating open), so any record read is a correct answer.
+/// Safe without the lock: a canonical image is published by rename, but
+/// appends write records in place, so a read sees a whole image or a
+/// clean prefix of its records — possibly ending in a half-written
+/// record while an append is in progress. That record loads as a torn
+/// tail, and a torn tail (like any defect) sends the read to the locked
+/// path, which waits the append out. Within an epoch a record is never
+/// rewritten, only added (or dropped by a cold run's truncating open),
+/// so any whole record read is a correct answer.
 /// Anything else — an empty plan, a missing file, a miss, a label
 /// mismatch, or any defect (torn tail, stale epoch, …) — returns
 /// `None`, and the caller takes the locked path, which heals and

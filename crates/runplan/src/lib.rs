@@ -27,11 +27,11 @@
 //! `--jobs 1` and `--jobs 8` produce byte-identical tables.
 //!
 //! Supervision: the pool isolates each slot behind `catch_unwind`,
-//! bounds attempts with fuel/wall-clock deadlines, retries transient
+//! bounds attempts with an optional fuel deadline, retries transient
 //! failures in deterministic plan-order rounds ([`SuperviseConfig`]),
 //! and records whatever still fails as a typed [`RunFailure`] slot that
 //! renderers degrade (`DEGRADED(<kind>)`) instead of crashing — one
-//! wedged or panicking run can no longer cost the other 78. The
+//! starved or panicking run can no longer cost the rest of the plan. The
 //! [`chaos`] module proves it by injecting seeded faults into both the
 //! guests and the pool itself.
 //!
@@ -99,17 +99,8 @@ pub use serve::{
 pub use status::{cache_status, render_cache_status, CacheStatus};
 pub use plan::Plan;
 pub use pool::{
-    default_jobs, execute, execute_supervised, execute_with, render_failures, render_timings,
-    run_concurrently, supervise_with, ExecutedPlan, RunTiming,
+    default_jobs, execute_supervised, render_failures, render_timings, run_concurrently,
+    supervise_with, ExecutedPlan, RunTiming,
 };
 pub use store::{ArtifactStore, ResolveError};
 pub use supervise::{backoff_delay, FailureKind, RunFailure, SuperviseConfig};
-
-use interp_core::RunRequest;
-
-/// Plan and execute `requests` in one call: dedup, subsume, run on
-/// `jobs` workers, and return the executed plan with its artifact store
-/// and per-run timings.
-pub fn run_all(requests: impl IntoIterator<Item = RunRequest>, jobs: usize) -> ExecutedPlan {
-    execute(&Plan::build(requests), jobs)
-}

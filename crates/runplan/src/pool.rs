@@ -1,9 +1,9 @@
 //! The supervised worker pool: execute a [`Plan`] on `std::thread::scope`
 //! threads (no external dependencies) with deterministic result ordering,
-//! per-run timing, panic isolation, deadlines, and bounded retries.
+//! per-run timing, panic isolation, a fuel deadline, and bounded retries.
 //!
 //! Every slot's execution is wrapped in `catch_unwind`; a panicking or
-//! wedged run becomes a typed [`RunFailure`] in its slot instead of
+//! fuel-starved run becomes a typed [`RunFailure`] in its slot instead of
 //! killing the whole plan. Failures classified transient are re-queued in
 //! plan order for up to [`SuperviseConfig::retries`] extra rounds, so the
 //! final store content is a pure function of the request set, the runner,
@@ -16,7 +16,7 @@ use crate::supervise::{RunFailure, SuperviseConfig};
 use interp_core::{RunArtifact, RunRequest};
 use interp_guard::{GuardError, Limits};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -71,12 +71,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Execute `plan` with the real workload runner on `jobs` workers under
-/// the default supervision policy.
-pub fn execute(plan: &Plan, jobs: usize) -> ExecutedPlan {
-    execute_supervised(plan, jobs, &SuperviseConfig::new())
-}
-
 /// Execute `plan` with the real workload runner under `config`: the
 /// fuel deadline rides in on `Limits::max_host_steps`, and a
 /// `HostStepBudget` trip under a configured fuel deadline classifies as
@@ -113,26 +107,14 @@ pub fn classify_guard_failure(
     }
 }
 
-/// Execute `plan` on `jobs` workers with an infallible request runner
-/// (tests inject probes here to count executions). A panic inside `run`
-/// still degrades that slot instead of aborting the plan.
-pub fn execute_with<F>(plan: &Plan, jobs: usize, run: F) -> ExecutedPlan
-where
-    F: Fn(&RunRequest) -> RunArtifact + Sync,
-{
-    supervise_with(plan, jobs, &SuperviseConfig::new(), move |request, _attempt| {
-        Ok(run(request))
-    })
-}
-
 /// Run `work` over `items` on up to `jobs` scoped worker threads and
 /// return the results in item order. Each slot is isolated behind
-/// `catch_unwind`: a panicking item yields `None` in its slot instead of
-/// poisoning its worker or aborting the batch. This is the generic
-/// fan-out under the serve daemon's `--serve-jobs` concurrent request
-/// execution — same idioms as [`supervise_with`], without the
-/// plan/retry machinery.
-pub fn run_concurrently<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<Option<R>>
+/// `catch_unwind`: a panicking item yields `Err(panic message)` in its
+/// slot instead of poisoning its worker or aborting the batch. This is
+/// the one fan-out in the crate: every round of [`supervise_with`] and
+/// the serve daemon's `--serve-jobs` concurrent request execution run
+/// on it.
+pub fn run_concurrently<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
@@ -143,7 +125,8 @@ where
     }
     let jobs = jobs.clamp(1, items.len());
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<R, String>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
@@ -151,26 +134,23 @@ where
                 let Some(item) = items.get(index) else {
                     break;
                 };
-                let result = catch_unwind(AssertUnwindSafe(|| work(item)));
+                let result = catch_unwind(AssertUnwindSafe(|| work(item)))
+                    .map_err(|payload| panic_message(payload.as_ref()));
                 let mut slot = slots[index]
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
-                *slot = result.ok();
+                *slot = Some(result);
             });
         }
     });
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()))
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .unwrap_or_else(|| Err("scope joined with an unfilled slot".to_string()))
+        })
         .collect()
-}
-
-/// One in-flight run as the watchdog sees it: when it began, and
-/// whether the monitor has marked it overdue.
-#[derive(Default)]
-struct WatchSlot {
-    begun: Mutex<Option<Instant>>,
-    overdue: AtomicBool,
 }
 
 /// The supervision core: execute `plan` on `jobs` workers with a
@@ -183,7 +163,8 @@ struct WatchSlot {
 /// plan order, every slot whose round-`r-1` failure was transient — so
 /// each slot's attempt count and final result are independent of the
 /// worker count, keeping every downstream rendering byte-stable across
-/// job counts.
+/// job counts. A panic is caught at the slot boundary and quarantines
+/// the slot as [`crate::FailureKind::Panicked`], with a zero duration.
 pub fn supervise_with<F>(
     plan: &Plan,
     jobs: usize,
@@ -209,9 +190,16 @@ where
     let mut queue: Vec<usize> = (0..n).collect();
     let mut round: u32 = 0;
     while !queue.is_empty() {
-        let outcomes = run_round(requests, &queue, jobs, round, config, &run);
+        let outcomes = run_concurrently(&queue, jobs, |&i| {
+            let begun = Instant::now();
+            let result = run(&requests[i], round);
+            (result, begun.elapsed())
+        });
         let mut next = Vec::new();
-        for (&i, (outcome, elapsed)) in queue.iter().zip(outcomes) {
+        for (&i, outcome) in queue.iter().zip(outcomes) {
+            let (outcome, elapsed) = outcome.unwrap_or_else(|message| {
+                (Err(RunFailure::panicked(round, message)), Duration::ZERO)
+            });
             attempts[i] += 1;
             durations[i] += elapsed;
             match outcome {
@@ -251,100 +239,6 @@ where
         wall: started.elapsed(),
         jobs,
     }
-}
-
-/// Execute attempt `round` of every queued slot and return `(result,
-/// duration)` per slot in queue order. Panics are caught at the slot
-/// boundary; poisoned or unfilled slots surface as `Panicked` failures
-/// instead of secondary panics.
-fn run_round<F>(
-    requests: &[RunRequest],
-    queue: &[usize],
-    jobs: usize,
-    round: u32,
-    config: &SuperviseConfig,
-    run: &F,
-) -> Vec<(Result<RunArtifact, RunFailure>, Duration)>
-where
-    F: Fn(&RunRequest, u32) -> Result<RunArtifact, RunFailure> + Sync,
-{
-    let m = queue.len();
-    let cursor = AtomicUsize::new(0);
-    let remaining = AtomicUsize::new(m);
-    let slots: Vec<Mutex<Option<(Result<RunArtifact, RunFailure>, Duration)>>> =
-        (0..m).map(|_| Mutex::new(None)).collect();
-    let watch: Vec<WatchSlot> = (0..m).map(|_| WatchSlot::default()).collect();
-
-    std::thread::scope(|scope| {
-        // The wall-clock watchdog: scan in-flight slots and mark any
-        // that outlive the deadline, then exit once every slot in the
-        // round has reported in.
-        if let Some(deadline) = config.wall_deadline {
-            let (watch, remaining) = (&watch, &remaining);
-            scope.spawn(move || {
-                while remaining.load(Ordering::Acquire) > 0 {
-                    for w in watch {
-                        if w.overdue.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let begun = *w.begun.lock().unwrap_or_else(|p| p.into_inner());
-                        if begun.is_some_and(|b| b.elapsed() > deadline) {
-                            w.overdue.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-        }
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                if qi >= m {
-                    break;
-                }
-                let request = &requests[queue[qi]];
-                let begun = Instant::now();
-                *watch[qi].begun.lock().unwrap_or_else(|p| p.into_inner()) = Some(begun);
-                let caught = catch_unwind(AssertUnwindSafe(|| run(request, round)));
-                let elapsed = begun.elapsed();
-                let mut result = match caught {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        Err(RunFailure::panicked(round, panic_message(payload.as_ref())))
-                    }
-                };
-                // A run that finished after its wall deadline is still
-                // overdue; a run that already failed keeps its more
-                // specific failure. The detail stays constant (no
-                // elapsed time) so degraded output is byte-stable.
-                let overdue = watch[qi].overdue.load(Ordering::Relaxed)
-                    || config.wall_deadline.is_some_and(|d| elapsed > d);
-                if result.is_ok() && overdue {
-                    result = Err(RunFailure::deadline(
-                        round,
-                        "run exceeded its wall-clock deadline",
-                    ));
-                }
-                *slots[qi].lock().unwrap_or_else(|p| p.into_inner()) = Some((result, elapsed));
-                remaining.fetch_sub(1, Ordering::Release);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| match slot.into_inner() {
-            Ok(Some(filled)) => filled,
-            Ok(None) => (
-                Err(RunFailure::panicked(round, "scope joined with an unfilled slot")),
-                Duration::ZERO,
-            ),
-            Err(_poison) => (
-                Err(RunFailure::panicked(round, "worker slot mutex poisoned")),
-                Duration::ZERO,
-            ),
-        })
-        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -433,6 +327,17 @@ mod tests {
                 ))
             })
             .collect()
+    }
+
+    /// Supervise `plan` with an infallible runner under the default
+    /// policy.
+    fn execute_with<F>(plan: &Plan, jobs: usize, run: F) -> ExecutedPlan
+    where
+        F: Fn(&RunRequest) -> RunArtifact + Sync,
+    {
+        supervise_with(plan, jobs, &SuperviseConfig::new(), |request, _attempt| {
+            Ok(run(request))
+        })
     }
 
     #[test]
@@ -524,9 +429,13 @@ mod tests {
             assert_eq!(results.len(), items.len());
             for (n, result) in items.iter().zip(&results) {
                 if *n == 13 {
-                    assert_eq!(*result, None, "panicking item must yield None");
+                    assert_eq!(
+                        *result,
+                        Err("chaos: unlucky".to_string()),
+                        "a panicking item must yield its panic message"
+                    );
                 } else {
-                    assert_eq!(*result, Some(n * 2), "jobs={jobs} item={n}");
+                    assert_eq!(*result, Ok(n * 2), "jobs={jobs} item={n}");
                 }
             }
         }

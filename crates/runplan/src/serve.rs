@@ -62,11 +62,11 @@
 //!   peer's real response for a request that peer admitted.
 //! * **Deadlines**: a request whose `deadline-ms` has passed when it
 //!   would execute is answered with [`RejectKind::DeadlineExpired`]
-//!   instead of running. Each admitted request executes under the
-//!   daemon's [`SuperviseConfig`] (retries, fuel deadline), so one
-//!   wedged run degrades its own cells instead of wedging the daemon,
-//!   and a degraded result with transient failures is re-driven with
-//!   bounded exponential backoff before the response ships degraded.
+//!   instead of running. Each admitted request executes once under the
+//!   daemon's [`SuperviseConfig`] (retries, fuel deadline), exactly as
+//!   a batch run would: the pool's retry rounds are the only retries,
+//!   and a run that still fails degrades its own cells and ships in a
+//!   degraded response instead of wedging the daemon.
 //! * **Exactly-once**: execution goes through
 //!   [`crate::journal::execute_journaled`] with `resume`, so daemons
 //!   and concurrent batch invocations partition work through the claims
@@ -150,8 +150,7 @@ pub const RESPONSE_VERSION_LINE: &str = "repro-serve-response/1";
 pub const DEFAULT_SERVE_QUEUE: usize = 16;
 /// Default inbox poll interval.
 pub const DEFAULT_SERVE_POLL: Duration = Duration::from_millis(50);
-/// Backoff ceiling shared by [`wait`]'s outbox polling and the
-/// daemon's degraded-request re-drive.
+/// Backoff ceiling of [`wait`]'s outbox polling.
 const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Why a request was rejected instead of executed. Every variant is a
@@ -675,10 +674,6 @@ pub struct ServeConfig {
     /// Admitted requests executed concurrently per scan
     /// (`--serve-jobs`): 1 is the sequential daemon.
     pub serve_jobs: usize,
-    /// How many times a degraded result with *transient* failures is
-    /// re-driven (with exponential backoff) before the response ships
-    /// degraded.
-    pub request_retries: u32,
     /// Per-request supervision (retries, fuel deadline).
     pub supervise: SuperviseConfig,
     /// Advisory-lock patience for journal coordination.
@@ -698,7 +693,6 @@ impl ServeConfig {
             max_requests: None,
             jobs: crate::pool::default_jobs(),
             serve_jobs: 1,
-            request_retries: 2,
             supervise: SuperviseConfig::default(),
             lock_timeout: crate::lock::DEFAULT_LOCK_TIMEOUT,
             crash_after: None,
@@ -803,39 +797,6 @@ fn publish_response(dirs: &ServeDirs, response: &ServeResponse) -> Result<(), Jo
     )
 }
 
-/// Execute an admitted request's plan with bounded retry: a degraded
-/// result whose failures include at least one *transient* kind
-/// (deadline, injected fault) is re-driven up to
-/// [`ServeConfig::request_retries`] times with exponential backoff —
-/// runs the earlier attempt journaled are reused, only the failures
-/// re-execute — before the response ships degraded.
-fn execute_with_retry(
-    plan: &Plan,
-    config: &ServeConfig,
-    image_cache: &Arc<ImageCache>,
-) -> Result<(ExecutedPlan, ResumeReport), JournalError> {
-    let mut attempt: u32 = 0;
-    loop {
-        let mut jconfig = JournalConfig::new(&config.cache_dir)
-            .with_resume(true)
-            .with_lock_timeout(config.lock_timeout)
-            .with_image_cache(Arc::clone(image_cache));
-        if let Some(n) = config.crash_after {
-            jconfig = jconfig.with_crash_after(n);
-        }
-        let (executed, report) = execute_journaled(plan, config.jobs, &config.supervise, &jconfig)?;
-        let transient = executed
-            .store
-            .failures()
-            .any(|(_, failure)| failure.kind.is_transient());
-        if !(executed.is_degraded() && transient) || attempt >= config.request_retries {
-            return Ok((executed, report));
-        }
-        attempt += 1;
-        std::thread::sleep(backoff_delay(config.poll, attempt, BACKOFF_CAP));
-    }
-}
-
 /// What serving one claimed request produced.
 enum ProcessOutcome {
     /// Response published with a rendered body; `lock_free` if the
@@ -849,8 +810,7 @@ enum ProcessOutcome {
 }
 
 /// Serve one claimed request file end to end: deadline gate, service
-/// plan, journaled exactly-once execution (with bounded transient
-/// retry), response publish. An advisory-lock timeout requeues the
+/// plan, journaled exactly-once execution, response publish. An advisory-lock timeout requeues the
 /// claim instead of erroring — one contended request must not take
 /// down a fleet member. Only cache-wide infrastructure failures
 /// (journal/outbox I/O) escape as errors.
@@ -882,7 +842,14 @@ fn process_request(
         Ok(request) => match service.plan(request) {
             Err(reject) => ServeOutcome::Rejected(reject),
             Ok(plan) => {
-                match execute_with_retry(&plan, config, image_cache) {
+                let mut jconfig = JournalConfig::new(&config.cache_dir)
+                    .with_resume(true)
+                    .with_lock_timeout(config.lock_timeout)
+                    .with_image_cache(Arc::clone(image_cache));
+                if let Some(n) = config.crash_after {
+                    jconfig = jconfig.with_crash_after(n);
+                }
+                match execute_journaled(&plan, config.jobs, &config.supervise, &jconfig) {
                     Ok((executed, report)) => {
                         lock_free = report.lock_free;
                         ServeOutcome::Ok {
@@ -1067,17 +1034,17 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
         });
         for outcome in outcomes {
             match outcome {
-                Some(Ok(ProcessOutcome::Served { lock_free })) => {
+                Ok(Ok(ProcessOutcome::Served { lock_free })) => {
                     report.served += 1;
                     report.lock_free += usize::from(lock_free);
                 }
-                Some(Ok(ProcessOutcome::Rejected)) => report.rejected += 1,
-                Some(Ok(ProcessOutcome::Requeued)) => report.requeued += 1,
-                Some(Err(e)) => return Err(e),
+                Ok(Ok(ProcessOutcome::Rejected)) => report.rejected += 1,
+                Ok(Ok(ProcessOutcome::Requeued)) => report.requeued += 1,
+                Ok(Err(e)) => return Err(e),
                 // A panicked worker left its claimed file behind; the
                 // fleet re-adopts it once this member exits or goes
                 // stale.
-                None => {}
+                Err(_panic) => {}
             }
         }
         if config
@@ -1471,6 +1438,53 @@ mod tests {
         // Membership is retired on clean exit.
         assert!(fleet::fleet_members(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fuel_starved_request_ships_degraded_and_journals_nothing() {
+        // Both tiny runs trip a 1000-step fuel deadline on every attempt.
+        // The daemon answers once, degraded, exactly as a batch run under
+        // the same policy would: the pool's retry rounds are the only
+        // retries, and no failed run reaches the journal.
+        let supervise = SuperviseConfig::new().with_timeout_fuel(1_000);
+        let dir = fresh_dir("degraded");
+        let mut config = fast_config(&dir, 1);
+        config.supervise = supervise;
+        let request = ServeRequest::new("starved", &["tiny"], Scale::Test);
+        submit(&dir, &request).expect("submit");
+        let report = serve(&config, &TinyService).expect("serve");
+        assert_eq!((report.served, report.rejected), (1, 0), "{report:?}");
+        let outcome = wait(&dir, "starved", Duration::from_secs(5), Duration::from_millis(1))
+            .expect("wait");
+        let WaitOutcome::Response(response) = outcome else {
+            panic!("timed out waiting for the response");
+        };
+        let ServeOutcome::Ok { accounting, body, degraded } = response.outcome else {
+            panic!("expected an ok (degraded) response");
+        };
+        assert!(degraded);
+        assert!(accounting.exactly_once(), "{accounting:?}");
+        assert_eq!((accounting.planned, accounting.executed), (2, 2), "{accounting:?}");
+        let journal = crate::journal::load_file(
+            &dir.join(crate::journal::JOURNAL_FILE),
+            crate::fingerprint::current_epoch(),
+        )
+        .expect("load journal");
+        assert!(journal.records.is_empty(), "a failed run was journaled");
+
+        // The body is what a batch run under the same policy renders.
+        let batch_dir = fresh_dir("degraded-batch");
+        let (executed, _) = execute_journaled(
+            &tiny_plan(),
+            config.jobs,
+            &supervise,
+            &JournalConfig::new(&batch_dir),
+        )
+        .expect("batch run");
+        assert!(executed.is_degraded());
+        assert_eq!(body, TinyService.render(&request, &executed).into_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&batch_dir);
     }
 
     #[test]

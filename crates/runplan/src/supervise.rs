@@ -2,8 +2,8 @@
 //! retry/deadline policy.
 //!
 //! A supervised plan never dies with one run. Each slot's execution is
-//! isolated behind `catch_unwind`, bounded by a fuel and/or wall-clock
-//! deadline, and classified on failure: *transient* failures (injected
+//! isolated behind `catch_unwind`, bounded by an optional fuel deadline,
+//! and classified on failure: *transient* failures (injected
 //! faults, tripped limits, deadlines) earn deterministic bounded
 //! retries, while panics quarantine the slot immediately. Whatever is
 //! still failing when retries run out lands in the
@@ -21,8 +21,8 @@ pub enum FailureKind {
     /// no retries.
     Panicked,
     /// The run crossed its fuel deadline (`--timeout-fuel` simulated
-    /// host steps, enforced cooperatively at guard polls) or its
-    /// wall-clock deadline (enforced by the watchdog thread).
+    /// host steps, enforced cooperatively at guard polls). The same run
+    /// always trips at the same step, so the failure is deterministic.
     DeadlineExceeded,
     /// The run stopped with a typed guard fault: injected corruption, a
     /// tripped resource limit, a failed self-check, a dropped artifact.
@@ -67,7 +67,7 @@ impl RunFailure {
         RunFailure { kind: FailureKind::Panicked, attempt, detail: detail.into() }
     }
 
-    /// A fuel or wall-clock deadline trip on `attempt`.
+    /// A fuel deadline trip on `attempt`.
     pub fn deadline(attempt: u32, detail: impl Into<String>) -> Self {
         RunFailure { kind: FailureKind::DeadlineExceeded, attempt, detail: detail.into() }
     }
@@ -98,7 +98,7 @@ impl fmt::Display for RunFailure {
 }
 
 /// The supervisor's policy: how often to retry transient failures and
-/// which deadlines bound each attempt.
+/// the fuel deadline that bounds each attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Maximum re-executions after the first attempt for failures
@@ -107,19 +107,14 @@ pub struct SuperviseConfig {
     /// Fuel deadline: a cap on simulated host steps per attempt, mapped
     /// onto `Limits::max_host_steps` and enforced cooperatively at the
     /// interpreters' guard polls. Deterministic — the same run always
-    /// trips at the same step — so this is the deadline `repro` exposes.
+    /// trips at the same step — and the only deadline a run has.
     pub timeout_fuel: Option<u64>,
-    /// Wall-clock deadline per attempt, enforced by the watchdog
-    /// thread. Inherently nondeterministic (a loaded machine can flag a
-    /// healthy run), so it is off by default and meant for interactive
-    /// use and supervision tests, not for reproducible reports.
-    pub wall_deadline: Option<Duration>,
 }
 
 impl SuperviseConfig {
-    /// Default policy: one retry for transient failures, no deadlines.
+    /// Default policy: one retry for transient failures, no deadline.
     pub const fn new() -> Self {
-        SuperviseConfig { retries: 1, timeout_fuel: None, wall_deadline: None }
+        SuperviseConfig { retries: 1, timeout_fuel: None }
     }
 
     /// Builder-style override of `retries`.
@@ -131,12 +126,6 @@ impl SuperviseConfig {
     /// Builder-style override of `timeout_fuel`.
     pub const fn with_timeout_fuel(mut self, fuel: u64) -> Self {
         self.timeout_fuel = Some(fuel);
-        self
-    }
-
-    /// Builder-style override of `wall_deadline`.
-    pub const fn with_wall_deadline(mut self, deadline: Duration) -> Self {
-        self.wall_deadline = Some(deadline);
         self
     }
 }
@@ -178,13 +167,9 @@ mod tests {
 
     #[test]
     fn config_builders_compose() {
-        let c = SuperviseConfig::new()
-            .with_retries(3)
-            .with_timeout_fuel(1_000_000)
-            .with_wall_deadline(Duration::from_secs(5));
+        let c = SuperviseConfig::new().with_retries(3).with_timeout_fuel(1_000_000);
         assert_eq!(c.retries, 3);
         assert_eq!(c.timeout_fuel, Some(1_000_000));
-        assert_eq!(c.wall_deadline, Some(Duration::from_secs(5)));
         assert_eq!(SuperviseConfig::default().retries, 1);
     }
 

@@ -1,5 +1,5 @@
 //! Supervision properties of the run-plan pool: panic quarantine,
-//! deadline enforcement, deterministic bounded retries, and
+//! fuel-deadline enforcement, deterministic bounded retries, and
 //! job-count-invariant degraded reporting.
 
 use interp_core::{Language, RunArtifact, RunRequest, Scale, WorkloadId};
@@ -10,7 +10,6 @@ use interp_runplan::{
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// A plan over distinct pipeline requests named after the macro registry.
 fn plan(n: usize) -> Plan {
@@ -65,46 +64,6 @@ fn panicking_workload_quarantines_without_killing_the_plan() {
     let report = render_failures(&executed);
     assert!(report.contains("1 of 5 run(s) failed"), "{report}");
     assert!(report.contains("panicked on attempt 0"), "{report}");
-}
-
-#[test]
-fn wall_deadline_watchdog_flags_wedged_runs_until_retries_exhaust() {
-    let plan = plan(3);
-    let wedged = plan.requests()[1];
-    let executions = AtomicUsize::new(0);
-    let config = SuperviseConfig::new()
-        .with_retries(2)
-        .with_wall_deadline(Duration::from_millis(15));
-    let executed = supervise_with(&plan, 2, &config, |request, _attempt| {
-        if *request == wedged {
-            executions.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(60));
-        }
-        Ok(artifact_for(request))
-    });
-
-    match executed.store.resolve(&wedged) {
-        Err(ResolveError::Degraded(failure)) => {
-            assert_eq!(failure.kind, FailureKind::DeadlineExceeded);
-            // Deadlines are transient: the supervisor spent the whole
-            // retry budget before giving up.
-            assert_eq!(failure.attempt, 2);
-        }
-        other => panic!("expected Degraded(DeadlineExceeded), got {other:?}"),
-    }
-    assert_eq!(
-        executions.load(Ordering::Relaxed),
-        3,
-        "retries + 1 attempts for a persistent deadline"
-    );
-    let timing = executed
-        .timings
-        .iter()
-        .find(|t| t.request == wedged)
-        .expect("timing row");
-    assert_eq!(timing.attempts, 3);
-    // The healthy slots were untouched by the wedged one.
-    assert_eq!(executed.failure_count(), 1);
 }
 
 #[test]

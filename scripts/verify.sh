@@ -7,6 +7,10 @@
 #                        ISA tables and the dispatch loops (mipsi,
 #                        javelin, nativeref); tier 1 runs only the root
 #                        package's tests.
+#   supervision units  — the run-plan crate's unit tests (pool, serve,
+#                        journal, chaos) plus its supervision suite, and
+#                        the harness experiment modules' unit tests,
+#                        which read one shared test-scale store.
 #   clippy strictness  — `unwrap_used` / `panic` are denied workspace-wide
 #                        in shipped code. Test modules are exempt (the
 #                        default clippy targets do not lint `#[cfg(test)]`
@@ -93,6 +97,10 @@ cargo test -q
 echo "== unit tests of the accounting, ISA and dispatch crates =="
 cargo test --release -q -p interp-core -p interp-host -p interp-isa -p interp-mipsi \
   -p interp-javelin -p interp-nativeref
+
+echo "== unit tests of the run-plan supervision and the experiment modules =="
+cargo test --release -q -p interp-runplan --lib --test supervision
+cargo test --release -q -p interp-harness --lib
 
 echo "== clippy gate (no unwrap, no panic in shipped code) =="
 cargo clippy --workspace -q -- \
