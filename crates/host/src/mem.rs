@@ -6,6 +6,9 @@
 //! primitives that emit trace events. Raw access is for loaders, test
 //! assertions, and Rust-side peeking that does not correspond to a native
 //! instruction.
+//!
+//! Every run builds at least one [`Memory`], so creating and dropping an
+//! empty one must cost neither a table fill nor a table walk.
 
 /// Log2 of the internal allocation granule (16 KiB). Unrelated to the
 /// architectural 8 KiB page size used by the TLB models.
@@ -16,16 +19,22 @@ const NUM_GRANULES: usize = 1 << (32 - GRANULE_BITS);
 /// A sparse, lazily-populated 4 GiB byte-addressable memory.
 ///
 /// Unmapped granules read as zero and are materialized on first write.
+/// The granule table is a zero-initialised index (0 = unmapped, `i` =
+/// the `i`-th materialized granule) into a dense list of the granules
+/// actually written, so an empty memory costs one zeroed allocation:
+/// table pages never touched are never faulted in, and dropping the
+/// memory frees the table without walking it.
 pub struct Memory {
-    granules: Vec<Option<Box<[u8; GRANULE]>>>,
-    /// Bytes actually materialized (for resource reporting).
-    resident: usize,
+    /// Per granule: 0 if unmapped, else 1 + its position in `granules`.
+    index: Box<[u32; NUM_GRANULES]>,
+    /// The materialized granules, in first-write order.
+    granules: Vec<Box<[u8; GRANULE]>>,
 }
 
 impl std::fmt::Debug for Memory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memory")
-            .field("resident_bytes", &self.resident)
+            .field("resident_bytes", &self.resident_bytes())
             .finish()
     }
 }
@@ -39,32 +48,40 @@ impl Default for Memory {
 impl Memory {
     /// An empty (all-zero) memory.
     pub fn new() -> Self {
-        let mut granules = Vec::new();
-        granules.resize_with(NUM_GRANULES, || None);
+        // One zeroed allocation; the fixed length lets every lookup by
+        // `addr >> GRANULE_BITS` skip its bounds check.
+        let index = vec![0u32; NUM_GRANULES]
+            .try_into()
+            .expect("the index has NUM_GRANULES slots");
         Memory {
-            granules,
-            resident: 0,
+            index,
+            granules: Vec::new(),
         }
     }
 
     /// Bytes of simulated memory materialized so far.
     pub fn resident_bytes(&self) -> usize {
-        self.resident
+        self.granules.len() * GRANULE
     }
 
     #[inline]
     fn granule(&self, addr: u32) -> Option<&[u8; GRANULE]> {
-        self.granules[(addr >> GRANULE_BITS) as usize].as_deref()
+        // Slot 0 (unmapped) wraps to `usize::MAX`, so one bounds check
+        // answers both "unmapped?" and "in range?".
+        let slot = self.index[(addr >> GRANULE_BITS) as usize] as usize;
+        self.granules.get(slot.wrapping_sub(1)).map(|g| &**g)
     }
 
     #[inline]
     fn granule_mut(&mut self, addr: u32) -> &mut [u8; GRANULE] {
-        let idx = (addr >> GRANULE_BITS) as usize;
-        let slot = &mut self.granules[idx];
-        if slot.is_none() {
-            self.resident += GRANULE;
+        let slot = &mut self.index[(addr >> GRANULE_BITS) as usize];
+        if *slot == 0 {
+            self.granules.push(Box::new([0u8; GRANULE]));
+            // At most NUM_GRANULES (2^18) granules exist, so the count
+            // always fits.
+            *slot = self.granules.len() as u32;
         }
-        slot.get_or_insert_with(|| Box::new([0u8; GRANULE]))
+        &mut self.granules[*slot as usize - 1]
     }
 
     /// Read one byte.
@@ -153,6 +170,8 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use interp_guard::Rng64;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn zero_before_write() {
@@ -212,5 +231,117 @@ mod tests {
         assert_eq!(mem.read_u32(0x0000_0010), 1);
         assert_eq!(mem.read_u32(0x8000_0010), 2);
         assert_eq!(mem.read_u32(0xfff0_0010), 3);
+    }
+
+    /// The byte-map model `Memory` must agree with: absent bytes read as
+    /// zero, and every granule a write touched is resident.
+    #[derive(Default)]
+    struct Reference {
+        bytes: BTreeMap<u32, u8>,
+        granules: BTreeSet<u32>,
+    }
+
+    impl Reference {
+        fn write(&mut self, addr: u32, data: &[u8]) {
+            for (i, b) in data.iter().enumerate() {
+                let at = addr.wrapping_add(i as u32);
+                self.bytes.insert(at, *b);
+                self.granules.insert(at >> GRANULE_BITS);
+            }
+        }
+
+        fn read(&self, addr: u32, len: usize) -> Vec<u8> {
+            (0..len)
+                .map(|i| {
+                    let at = addr.wrapping_add(i as u32);
+                    self.bytes.get(&at).copied().unwrap_or(0)
+                })
+                .collect()
+        }
+    }
+
+    /// An address near one of the interesting places: granule
+    /// boundaries (so words and halfwords straddle two granules), the
+    /// top of the address space (so accesses wrap to 0), or anywhere.
+    fn address(rng: &mut Rng64) -> u32 {
+        let near = match rng.index(0, 4) {
+            0 => (rng.range(1, NUM_GRANULES as u64) as u32) << GRANULE_BITS,
+            1 => 0,
+            2 => 0x8000_0000,
+            _ => rng.next_u64() as u32,
+        };
+        near.wrapping_add(rng.range(0, 8) as u32).wrapping_sub(4)
+    }
+
+    #[test]
+    fn matches_a_byte_map_reference() {
+        for seed in 0..16 {
+            let mut rng = Rng64::new(seed);
+            let mut mem = Memory::new();
+            let mut reference = Reference::default();
+            // Revisit earlier addresses often, so reads see writes.
+            let mut seen: Vec<u32> = Vec::new();
+            for step in 0..2_000 {
+                let addr = if !seen.is_empty() && rng.chance(1, 2) {
+                    *rng.pick(&seen)
+                } else {
+                    let fresh = address(&mut rng);
+                    seen.push(fresh);
+                    fresh
+                };
+                let value = rng.next_u64();
+                let what = format!("seed {seed} step {step} addr {addr:#010x}");
+                match rng.index(0, 8) {
+                    0 => {
+                        mem.write_u8(addr, value as u8);
+                        reference.write(addr, &[value as u8]);
+                    }
+                    1 => {
+                        mem.write_u16(addr, value as u16);
+                        reference.write(addr, &(value as u16).to_le_bytes());
+                    }
+                    2 => {
+                        mem.write_u32(addr, value as u32);
+                        reference.write(addr, &(value as u32).to_le_bytes());
+                    }
+                    3 => {
+                        let data: Vec<u8> = (0..rng.index(0, 40)).map(|i| i as u8 ^ 0x5a).collect();
+                        mem.write_bytes(addr, &data);
+                        reference.write(addr, &data);
+                    }
+                    4 => assert_eq!(vec![mem.read_u8(addr)], reference.read(addr, 1), "{what}"),
+                    5 => assert_eq!(
+                        mem.read_u16(addr).to_le_bytes().to_vec(),
+                        reference.read(addr, 2),
+                        "{what}"
+                    ),
+                    6 => assert_eq!(
+                        mem.read_u32(addr).to_le_bytes().to_vec(),
+                        reference.read(addr, 4),
+                        "{what}"
+                    ),
+                    _ => {
+                        let len = rng.index(0, 40);
+                        assert_eq!(mem.read_bytes(addr, len), reference.read(addr, len), "{what}");
+                    }
+                }
+                assert_eq!(
+                    mem.resident_bytes(),
+                    reference.granules.len() * GRANULE,
+                    "{what}: resident bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_write_still_materializes_its_granule() {
+        let mut mem = Memory::new();
+        mem.write_u8(0xffff_ffff, 0);
+        assert_eq!(mem.resident_bytes(), GRANULE);
+        mem.write_u32(0xffff_fffe, 0x0403_0201);
+        assert_eq!(mem.resident_bytes(), 2 * GRANULE, "the word wraps into granule 0");
+        assert_eq!(mem.read_u32(0xffff_fffe), 0x0403_0201);
+        assert_eq!(mem.read_u16(0), 0x0403);
     }
 }

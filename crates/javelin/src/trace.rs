@@ -23,6 +23,7 @@
 //! pure function of the program.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Taken backedges at one loop head before recording starts. Low enough
 /// that the conformance IR's counted loops (at most 8 iterations per
@@ -65,7 +66,9 @@ pub enum RecordOutcome {
 enum Mode {
     Idle,
     Recording { anchor: Anchor, steps: Vec<TraceStep> },
-    Executing { anchor: Anchor, step: usize },
+    /// The executing trace is shared with the cache, so a traced
+    /// bytecode reads its step without a cache lookup.
+    Executing { anchor: Anchor, trace: Rc<[TraceStep]>, step: usize },
 }
 
 /// Per-VM trace state: hotness counters, the trace cache, the
@@ -73,7 +76,7 @@ enum Mode {
 pub struct TraceEngine {
     mode: Mode,
     hotness: BTreeMap<Anchor, u32>,
-    traces: BTreeMap<Anchor, Vec<TraceStep>>,
+    traces: BTreeMap<Anchor, Rc<[TraceStep]>>,
     blacklist: BTreeSet<Anchor>,
 }
 
@@ -115,20 +118,20 @@ impl TraceEngine {
             return false;
         }
         let anchor = (func, pc);
-        if self.traces.contains_key(&anchor) {
-            self.mode = Mode::Executing { anchor, step: 0 };
-            true
-        } else {
-            false
+        match self.traces.get(&anchor) {
+            Some(trace) => {
+                let trace = Rc::clone(trace);
+                self.mode = Mode::Executing { anchor, trace, step: 0 };
+                true
+            }
+            None => false,
         }
     }
 
     /// The step the executing trace expects next, if executing.
     pub fn current_step(&self) -> Option<TraceStep> {
         match &self.mode {
-            Mode::Executing { anchor, step } => {
-                self.traces.get(anchor).and_then(|t| t.get(*step)).copied()
-            }
+            Mode::Executing { trace, step, .. } => trace.get(*step).copied(),
             _ => None,
         }
     }
@@ -136,10 +139,8 @@ impl TraceEngine {
     /// Advance the executing trace one step, wrapping from the last
     /// step back to the anchor (the compiled loop's own backedge).
     pub fn advance(&mut self) {
-        if let Mode::Executing { anchor, step } = &mut self.mode {
-            if let Some(trace) = self.traces.get(anchor) {
-                *step = (*step + 1) % trace.len().max(1);
-            }
+        if let Mode::Executing { trace, step, .. } = &mut self.mode {
+            *step = (*step + 1) % trace.len().max(1);
         }
     }
 
@@ -154,7 +155,8 @@ impl TraceEngine {
     /// Abort the executing trace: evict it from the cache, blacklist
     /// its anchor, back to the interpreter.
     pub fn abort_executing(&mut self) {
-        if let Mode::Executing { anchor, .. } = self.mode {
+        if let Mode::Executing { anchor, .. } = &self.mode {
+            let anchor = *anchor;
             self.traces.remove(&anchor);
             self.blacklist.insert(anchor);
             self.mode = Mode::Idle;
@@ -203,7 +205,7 @@ impl TraceEngine {
         steps.push(TraceStep { pc, next, guarded });
         if next == anchor.1 {
             let anchor = *anchor;
-            let trace = std::mem::take(steps);
+            let trace = Rc::from(std::mem::take(steps));
             self.traces.insert(anchor, trace);
             self.mode = Mode::Idle;
             RecordOutcome::Completed

@@ -2,15 +2,22 @@
 //! other processes may read at any moment.
 //!
 //! Both forms write the full content to a hidden temp file beside the
-//! target and fsync it *before* the target name appears, so no reader
-//! ever observes a half-written file:
+//! target *before* the target name appears, so no reader ever observes
+//! a half-written file:
 //!
-//! * [`replace`] renames the temp over the target (last writer wins) and
-//!   best-effort fsyncs the directory — the journal image, compaction,
-//!   and the serve request/response files.
+//! * [`replace`] fsyncs the temp, renames it over the target (last
+//!   writer wins) and best-effort fsyncs the directory: the content is
+//!   *durable* — the journal image, compaction, and the serve
+//!   request/response files.
 //! * [`create_new`] hard-links the temp to the target, which fails if the
 //!   target exists (first writer wins) — the journal lock and fleet
-//!   member registration.
+//!   member registration. Its content is *visible*, not durable: it is
+//!   not fsynced. Page-cache writes are visible to every process before
+//!   `write` returns, so the link still appears only after the content.
+//!   Durability matters only across a power cut, and then every process
+//!   that wrote such a file is dead: a lock or member file that comes
+//!   back empty names no live pid, so the lock is stolen and the member
+//!   is swept as dead, and one that comes back missing is simply free.
 //!
 //! Temp names are `.<target name>.tmp-<pid>-<seq>`: unique per process
 //! and call, so concurrent publishers of one target never share a temp
@@ -25,8 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Write `bytes` to a fresh temp file beside `path` and fsync it.
-fn write_temp(path: &Path, bytes: &[u8]) -> Result<PathBuf, JournalError> {
+/// Write `bytes` to a fresh temp file beside `path`, returning its path
+/// and the open file (for a caller that makes it durable).
+fn write_temp(path: &Path, bytes: &[u8]) -> Result<(PathBuf, std::fs::File), JournalError> {
     let name = path
         .file_name()
         .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
@@ -37,8 +45,7 @@ fn write_temp(path: &Path, bytes: &[u8]) -> Result<PathBuf, JournalError> {
     ));
     let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, "write", e))?;
     f.write_all(bytes).map_err(|e| io_err(&tmp, "write", e))?;
-    f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-    Ok(tmp)
+    Ok((tmp, f))
 }
 
 /// Atomically replace the file at `path` with `bytes`: fsynced temp,
@@ -46,7 +53,9 @@ fn write_temp(path: &Path, bytes: &[u8]) -> Result<PathBuf, JournalError> {
 /// rename itself is durable (not every filesystem supports it, and the
 /// rename's atomicity does not depend on it).
 pub(crate) fn replace(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
-    let tmp = write_temp(path, bytes)?;
+    let (tmp, f) = write_temp(path, bytes)?;
+    f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
+    drop(f);
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))?;
     if let Some(dir) = path.parent() {
         if let Ok(d) = std::fs::File::open(dir) {
@@ -57,10 +66,11 @@ pub(crate) fn replace(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
 }
 
 /// Atomically create the file at `path` holding `bytes`, only if no file
-/// is there: fsynced temp, then `hard_link` to the target. Returns
-/// `Ok(false)` when the target already exists.
+/// is there: temp, then `hard_link` to the target. Visible, not durable
+/// (see the module docs). Returns `Ok(false)` when the target already
+/// exists.
 pub(crate) fn create_new(path: &Path, bytes: &[u8]) -> Result<bool, JournalError> {
-    let tmp = write_temp(path, bytes)?;
+    let (tmp, _) = write_temp(path, bytes)?;
     let linked = std::fs::hard_link(&tmp, path);
     let _ = std::fs::remove_file(&tmp);
     match linked {

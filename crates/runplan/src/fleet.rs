@@ -2,10 +2,11 @@
 //! daemons share one cache.
 //!
 //! Each daemon publishes one *member file* under `serve/fleet/` with
-//! the same fsynced-temp + atomic hard-link idiom as the journal lock
+//! the same temp + atomic hard-link idiom as the journal lock
 //! ([`crate::atomic::create_new`]), so membership is crash-visible
-//! state on the shared filesystem, and the registry is the only record
-//! of who is serving:
+//! state on the shared filesystem (a member file a power cut left empty
+//! reads as pid 0, which is dead, and is swept), and the registry is
+//! the only record of who is serving:
 //!
 //! ```text
 //! serve/fleet/<token>       pid <pid> / token <token>   (hard-linked)

@@ -258,7 +258,10 @@ fn try_acquire(config: &LockConfig) -> Result<Option<LockGuard>, LockError> {
         config.epoch
     );
     // Atomic publish: the link only succeeds if no lock exists, and the
-    // linked content is already durable — no observable half-state.
+    // linked content is already visible to every process — no
+    // observable half-state. It is not durable, and need not be: after
+    // a power cut every holder is dead, and an empty lock names no live
+    // pid, so it is stolen.
     let created = crate::atomic::create_new(&config.path, content.as_bytes())
         .map_err(|e| io_lock_err(&e.path, e.detail))?;
     if created {

@@ -664,7 +664,8 @@ pub struct ServeConfig {
     /// Admission-queue capacity per inbox scan; requests beyond it are
     /// rejected with [`RejectKind::Overloaded`].
     pub queue: usize,
-    /// Inbox scan interval.
+    /// Sleep after a scan that answered nothing; a scan that served or
+    /// rejected a request is followed by the next at once.
     pub poll: Duration,
     /// Exit after writing this many responses (tests, bench). `None`
     /// runs until a stop request.
@@ -958,6 +959,7 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
             report.drained = true;
             break;
         }
+        let answered_before = report.served + report.rejected;
         // Read and parse every pending request up front so admission
         // can be priority-ordered (highest first, id-ascending ties;
         // unparseable files sort at priority 0 — their typed rejection
@@ -1053,7 +1055,13 @@ pub fn serve(config: &ServeConfig, service: &dyn PlanService) -> Result<ServeRep
         {
             break 'daemon;
         }
-        std::thread::sleep(config.poll);
+        // A scan that answered something rescans at once: more work
+        // (perhaps submitted by the plan just served) may be waiting. A
+        // scan that answered nothing sleeps, even if it requeued, so
+        // lock contention cannot turn into a busy spin.
+        if report.served + report.rejected == answered_before {
+            std::thread::sleep(config.poll);
+        }
     }
     let drained = report.drained;
     // The pulse joins first so it cannot recreate the heartbeat file
@@ -1412,6 +1420,44 @@ mod tests {
         };
         let parsed = parse_response(&encode_response(&rejected)).expect("parse rejected");
         assert_eq!(parsed, rejected);
+    }
+
+    /// Serves `tiny`, and its plan for `first` submits `second` — a
+    /// request that lands while the daemon is busy with another.
+    struct ChainService {
+        dir: PathBuf,
+    }
+
+    impl PlanService for ChainService {
+        fn plan(&self, request: &ServeRequest) -> Result<Plan, Reject> {
+            if request.id == "first" {
+                submit(&self.dir, &ServeRequest::new("second", &["tiny"], Scale::Test))
+                    .expect("submit second");
+            }
+            TinyService.plan(request)
+        }
+
+        fn render(&self, request: &ServeRequest, executed: &ExecutedPlan) -> String {
+            TinyService.render(request, executed)
+        }
+    }
+
+    #[test]
+    fn a_scan_that_answered_work_rescans_without_sleeping() {
+        let dir = fresh_dir("rescan");
+        submit(&dir, &ServeRequest::new("first", &["tiny"], Scale::Test)).expect("submit");
+        let mut config = fast_config(&dir, 2);
+        config.poll = Duration::from_secs(8);
+        let started = Instant::now();
+        let report = serve(&config, &ChainService { dir: dir.clone() }).expect("serve");
+        let took = started.elapsed();
+        assert_eq!(report.served, 2, "{report:?}");
+        assert!(
+            took < config.poll / 4,
+            "the second request waited out a poll: {took:?}"
+        );
+        assert!(dir.join(OUTBOX_DIR).join("second.resp").exists(), "second answered");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

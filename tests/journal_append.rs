@@ -3,8 +3,10 @@
 //! record and close to the canonical image; a file cut at any byte
 //! reopens with exactly one torn tail and every whole record before it;
 //! a lock-free reader that meets an append in progress waits for it
-//! instead of reporting damage; and an append is visible through the
-//! decoded-image cache.
+//! instead of reporting damage; an append is visible through the
+//! decoded-image cache; and the lock and fleet files, which are
+//! published visible but not durable, recover from the empty shape a
+//! power cut can leave them in.
 //!
 //! Runs are synthetic (no interpreter); the whole file takes well under
 //! a second.
@@ -14,16 +16,19 @@ use interp_guard::Rng64;
 use interp_runplan::journal::{
     encode_image, encode_record, record_spans, JournalRecord, JOURNAL_FILE, MAGIC,
 };
+use interp_runplan::lock::LOCK_FILE;
+use interp_runplan::serve::{INBOX_DIR, WORK_DIR};
 use interp_runplan::{
-    acquire, execute_journaled_with, load_bytes, ImageCache, JournalConfig, JournalDefectKind,
-    JournalErrorKind, JournalWriter, LockConfig, Plan, ResumeReport, SuperviseConfig,
+    acquire, execute_journaled_with, fleet_members, load_bytes, sweep_dead_members, ImageCache,
+    JournalConfig, JournalDefectKind, JournalErrorKind, JournalWriter, LockConfig, Plan,
+    ResumeReport, SuperviseConfig, DEFAULT_MEMBER_STALE, FLEET_DIR,
 };
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::os::unix::fs::MetadataExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const EPOCH: u64 = 0x00A9_9E4D;
 
@@ -287,5 +292,57 @@ fn an_in_place_append_invalidates_the_image_cache() {
         "the grown file is re-read, and it answers the plan"
     );
     assert!(ran.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A power cut can leave the lock file linked but empty (its content was
+/// never synced). It names no live holder, so the next acquisition
+/// steals it at once instead of waiting out the timeout.
+#[test]
+fn an_empty_lock_left_by_a_power_cut_is_stolen_at_once() {
+    let dir = fresh_dir("empty-lock");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join(LOCK_FILE), b"").expect("empty lock");
+    let timeout = Duration::from_secs(60);
+    let started = Instant::now();
+    let guard = acquire(&LockConfig::for_dir(&dir, "after-reboot", EPOCH).with_timeout(timeout))
+        .expect("an empty lock is stolen");
+    assert!(
+        started.elapsed() < timeout / 4,
+        "stolen at once, not after the timeout: {:?}",
+        started.elapsed()
+    );
+    let content = std::fs::read_to_string(dir.join(LOCK_FILE)).expect("lock");
+    assert!(content.contains("token after-reboot"), "{content}");
+    drop(guard);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same shape for a fleet member file: empty, it reads as pid 0,
+/// which is dead, so the next sweep retires the member and re-adopts
+/// the request it had claimed.
+#[test]
+fn an_empty_fleet_member_left_by_a_power_cut_is_swept() {
+    let dir = fresh_dir("empty-member");
+    let token = "member-before-reboot";
+    let fleet = dir.join(FLEET_DIR);
+    let work = dir.join(WORK_DIR).join(token);
+    let inbox = dir.join(INBOX_DIR);
+    for d in [&fleet, &work, &inbox] {
+        std::fs::create_dir_all(d).expect("mkdir");
+    }
+    std::fs::write(fleet.join(token), b"").expect("empty member file");
+    std::fs::write(work.join("r1.req"), b"claimed").expect("claimed request");
+
+    let members = fleet_members(&dir);
+    assert_eq!(members.len(), 1, "{members:?}");
+    assert_eq!((members[0].pid, members[0].pid_live), (0, false));
+    assert!(members[0].is_dead(DEFAULT_MEMBER_STALE));
+
+    assert_eq!(sweep_dead_members(&dir, DEFAULT_MEMBER_STALE, None), 1);
+    assert!(!fleet.join(token).exists(), "member retired");
+    assert!(!work.exists(), "work dir retired");
+    assert_eq!(std::fs::read(inbox.join("r1.req")).expect("adopted"), b"claimed");
+    assert!(fleet_members(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
