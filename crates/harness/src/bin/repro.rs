@@ -75,9 +75,9 @@
 //! sharing one `--cache-dir` cooperatively fill a single cache with
 //! exactly-once execution per run — a run another process already
 //! journaled (or is actively executing, per its claim) is reused, not
-//! repeated. A lock held by a dead process is taken over; one held by a
-//! live process past `--lock-timeout SECS` (default 30) aborts with exit
-//! status 5. `status` prints a read-only cache snapshot (records,
+//! repeated. The kernel releases the lock of a process that dies; a lock
+//! held by a live process past `--lock-timeout SECS` (default 30) aborts
+//! with exit status 5. `status` prints a read-only cache snapshot (records,
 //! defects, lock holder, writer sessions, claims, reuse coverage);
 //! `compact` rewrites the journal dropping duplicate, stale-epoch, and
 //! torn records (a no-op when already canonical); `bench` writes a

@@ -92,14 +92,12 @@ fn exit_4_journal_io_error() {
 fn exit_5_lock_timeout() {
     let dir = fresh_dir("five");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    // A lock held by this (live) test process never frees: the writer
+    // This test process holds the lock for the whole run: the writer
     // must give up after --lock-timeout and exit 5.
-    std::fs::write(
-        dir.join("journal.lock"),
-        format!("pid {}\ntoken squatter\n", std::process::id()),
-    )
-    .expect("plant lock");
+    let held = interp_runplan::acquire(&interp_runplan::LockConfig::for_dir(&dir, "squatter", 0))
+        .expect("hold the lock");
     let out = repro(&["table3", "--cache-dir", &dir.to_string_lossy(), "--lock-timeout", "1"]);
+    drop(held);
     assert_eq!(code(&out), 5, "{}", String::from_utf8_lossy(&out.stderr));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,20 +10,18 @@
 //!   *durable* — the journal image, compaction, and the serve
 //!   request/response files.
 //! * [`create_new`] hard-links the temp to the target, which fails if the
-//!   target exists (first writer wins) — the journal lock and fleet
-//!   member registration. Its content is *visible*, not durable: it is
-//!   not fsynced. Page-cache writes are visible to every process before
-//!   `write` returns, so the link still appears only after the content.
-//!   Durability matters only across a power cut, and then every process
-//!   that wrote such a file is dead: a lock or member file that comes
-//!   back empty names no live pid, so the lock is stolen and the member
-//!   is swept as dead, and one that comes back missing is simply free.
+//!   target exists (first writer wins) — fleet member registration. Its
+//!   content is *visible*, not durable: it is not fsynced. Page-cache
+//!   writes are visible to every process before `write` returns, so the
+//!   link still appears only after the content. Durability matters only
+//!   across a power cut, and then every process that wrote such a file
+//!   is dead: a member file that comes back empty names no live pid, so
+//!   it is swept as dead, and one that comes back missing is simply gone.
 //!
 //! Temp names are `.<target name>.tmp-<pid>-<seq>`: unique per process
 //! and call, so concurrent publishers of one target never share a temp
-//! file, hidden so directory scanners (inbox, fleet registry) skip them,
-//! and led by the owner pid so [`crate::lock::sweep_lock_debris`] can
-//! tell a dead owner's leftovers from a live one's.
+//! file, and hidden so directory scanners (inbox, fleet registry) skip
+//! them.
 
 use crate::journal::{io_err, JournalError};
 use std::io::Write as _;

@@ -13,7 +13,7 @@
 //! campaign, holds its records in completion order; compaction sorts it.
 
 use crate::journal::{encode_image, io_err, lock_err, JournalDefect, JournalError, JOURNAL_FILE};
-use crate::lock::{self, fresh_token, sweep_lock_debris, Claims, LockConfig, Sessions};
+use crate::lock::{self, fresh_token, Claims, LockConfig, Sessions};
 use std::path::Path;
 use std::time::Duration;
 
@@ -116,7 +116,6 @@ pub fn compact_with(
 ) -> Result<CompactReport, JournalError> {
     let path = dir.join(JOURNAL_FILE);
     let responses_swept = keep_responses.map_or(0, |keep| sweep_outbox(dir, keep));
-    sweep_lock_debris(dir);
     let lock_config =
         LockConfig::for_dir(dir, &fresh_token(), epoch).with_timeout(lock_timeout);
     let _guard = lock::acquire(&lock_config).map_err(lock_err)?;

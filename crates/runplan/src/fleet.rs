@@ -2,8 +2,8 @@
 //! daemons share one cache.
 //!
 //! Each daemon publishes one *member file* under `serve/fleet/` with
-//! the same temp + atomic hard-link idiom as the journal lock
-//! ([`crate::atomic::create_new`]), so membership is crash-visible
+//! a temp + atomic hard-link ([`crate::atomic::create_new`]), so
+//! membership is crash-visible
 //! state on the shared filesystem (a member file a power cut left empty
 //! reads as pid 0, which is dead, and is swept), and the registry is
 //! the only record of who is serving:
@@ -70,9 +70,8 @@ pub struct FleetMembership {
 
 impl FleetMembership {
     /// Register this process as a fleet member of `cache_dir`: publish
-    /// the member file ([`crate::atomic::create_new`], the same
-    /// no-overwrite idiom as the journal lock) and create the member's
-    /// work directory.
+    /// the member file ([`crate::atomic::create_new`], which never
+    /// overwrites) and create the member's work directory.
     pub fn register(cache_dir: &Path) -> Result<FleetMembership, JournalError> {
         let fleet_dir = cache_dir.join(FLEET_DIR);
         std::fs::create_dir_all(&fleet_dir).map_err(|e| io_err(&fleet_dir, "create-dir", e))?;

@@ -105,7 +105,7 @@
 
 use crate::fingerprint::{current_epoch, RECORD_VERSION};
 use crate::lock::{
-    self, fresh_token, sweep_lock_debris, Claims, LockConfig, LockError, LockErrorKind, Sessions,
+    self, fresh_token, Claims, LockConfig, LockError, LockErrorKind, Sessions,
     DEFAULT_LOCK_TIMEOUT,
 };
 use crate::plan::Plan;
@@ -621,7 +621,6 @@ impl JournalWriter {
         register: bool,
     ) -> Result<(JournalWriter, LoadedJournal), JournalError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create-dir", e))?;
-        sweep_lock_debris(dir);
         let lock_config = LockConfig::for_dir(dir, token, epoch).with_timeout(lock_timeout);
         let guard = lock::acquire(&lock_config).map_err(lock_err)?;
         let sessions = Sessions::new(dir);

@@ -49,8 +49,8 @@
 //! cold run at any job count.
 //!
 //! Coordination: the [`lock`] module makes the cache safe to *share*.
-//! Every journal write happens under an advisory file lock (atomic
-//! hard-link acquisition, stale-lock takeover from dead holders) with a
+//! Every journal write happens under an advisory file lock (a kernel
+//! `flock`, released by the kernel when its holder dies) with a
 //! merge-on-reload pass folding in records concurrent processes landed;
 //! a per-fingerprint claims registry gives N concurrent invocations
 //! exactly-once execution over one cooperatively-filled cache. The

@@ -86,6 +86,9 @@
 #                        and the tiered guard-trip lane (spurious trace
 #                        guard failure mid-run) aborted, blacklisted,
 #                        and byte-identical to a never-tiered run.
+#   exit codes         — every documented `repro` exit status, driven
+#                        through the real binary; the lock-timeout case
+#                        holds a real journal lock while `repro` waits.
 #   golden snapshots   — every renderer's test-scale output must be
 #                        byte-identical to the committed goldens.
 set -euo pipefail
@@ -353,6 +356,9 @@ rm -f /tmp/repro_bench.json /tmp/repro_bench_summary.txt
 
 echo "== journal-chaos (corruption + multi-writer + serve + fleet + tiered lanes, 2 full rotations) =="
 "$REPRO" journal-chaos --seeds 32
+
+echo "== exit codes (the real binary: usage, journal I/O, lock timeout, wait timeout, crash) =="
+cargo test -q -p interp-harness --test exit_codes
 
 echo "== golden snapshots (byte-diff vs committed renders) =="
 cargo test -q -p interp-harness --test goldens \

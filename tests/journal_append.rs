@@ -295,9 +295,10 @@ fn an_in_place_append_invalidates_the_image_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A power cut can leave the lock file linked but empty (its content was
-/// never synced). It names no live holder, so the next acquisition
-/// steals it at once instead of waiting out the timeout.
+/// A power cut can leave the lock file empty (its content is never
+/// synced). A file holds no lock once its holder is gone, so the next
+/// acquisition takes it at once, instead of waiting out the timeout,
+/// and writes its own content.
 #[test]
 fn an_empty_lock_left_by_a_power_cut_is_stolen_at_once() {
     let dir = fresh_dir("empty-lock");
@@ -306,10 +307,10 @@ fn an_empty_lock_left_by_a_power_cut_is_stolen_at_once() {
     let timeout = Duration::from_secs(60);
     let started = Instant::now();
     let guard = acquire(&LockConfig::for_dir(&dir, "after-reboot", EPOCH).with_timeout(timeout))
-        .expect("an empty lock is stolen");
+        .expect("an empty lock is taken");
     assert!(
         started.elapsed() < timeout / 4,
-        "stolen at once, not after the timeout: {:?}",
+        "taken at once, not after the timeout: {:?}",
         started.elapsed()
     );
     let content = std::fs::read_to_string(dir.join(LOCK_FILE)).expect("lock");
